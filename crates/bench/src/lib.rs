@@ -1,10 +1,9 @@
 //! # fexiot-bench
 //!
 //! Experiment harness reproducing every table and figure in the paper's
-//! evaluation (§IV). Each module implements one experiment; the `src/bin`
-//! binaries print paper-style rows, and the Criterion benches time the
-//! pipeline stages. All experiments run scaled-down by default and at paper
-//! scale with `FEXIOT_FULL=1` / `--full`.
+//! evaluation (§IV). Each module implements one experiment, and the `src/bin`
+//! binaries print paper-style rows. All experiments run scaled-down by
+//! default and at paper scale with `FEXIOT_FULL=1` / `--full`.
 
 pub mod ablation;
 pub mod fig3;
@@ -14,7 +13,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod perf;
 pub mod plot;
 pub mod robustness;
 pub mod scale;

@@ -11,9 +11,10 @@
 //! Determinism contract: on a single-threaded workload the allocation count
 //! and byte totals between two program points are a pure function of the
 //! code executed, so same-seed runs produce bit-identical counter values —
-//! the bench harness relies on this (`fexiot-bench/v1` treats alloc drift as
-//! breaking). The tracker itself never allocates: all four cells are plain
-//! atomics updated with relaxed operations.
+//! `obs-diff` relies on this (the per-span allocation counters are ordinary
+//! counters, so their drift is breaking). The tracker itself never
+//! allocates: all four cells are plain atomics updated with relaxed
+//! operations.
 //!
 //! Without the feature nothing is installed, [`is_tracking`] is `false`
 //! (a compile-time constant, so the span-path branches fold away), and

@@ -1,10 +1,8 @@
-//! `obs-diff [options] <baseline.json> <current.json>` — compares two
-//! `fexiot-obs/v1` run reports, or two `fexiot-bench/v1` benchmark documents
-//! (auto-detected from the `schema` field), and exits non-zero when
-//! deterministic data drifted (or, with `--strict-timing`, when timings
-//! regressed beyond tolerance). This is the CI perf/behaviour regression
-//! gate; the bench mode additionally treats allocation-count drift as
-//! breaking while timing percentiles stay advisory.
+//! `obs-diff [options] <baseline.json> <current.json>` — compares two obs
+//! run reports (`fexiot-obs/v1`..`v4`) and exits non-zero when deterministic
+//! data drifted (or, with `--strict-timing`, when timings regressed beyond
+//! tolerance). This is the CI behaviour regression gate; a file with any
+//! other schema is a usage error.
 //!
 //! Options:
 //!   --timing-tolerance FRAC   allowed fractional slowdown (default 0.25)
@@ -15,9 +13,7 @@
 //!
 //! Exit codes: 0 pass, 1 fail (breaking findings), 2 usage/IO error.
 
-use fexiot_obs::diff::{
-    diff_bench_reports, diff_reports, validate_bench_report, DiffConfig, BENCH_SCHEMA,
-};
+use fexiot_obs::diff::{diff_reports, DiffConfig};
 use fexiot_obs::{validate_report, Json};
 use std::path::Path;
 use std::process::ExitCode;
@@ -25,8 +21,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: obs-diff [--timing-tolerance FRAC] [--timing-floor-us N] \
-         [--strict-timing] [--json] <baseline.json> <current.json>\n\
-         (accepts two fexiot-obs/v1 reports or two fexiot-bench/v1 documents)"
+         [--strict-timing] [--json] <baseline.json> <current.json>"
     );
     ExitCode::from(2)
 }
@@ -35,11 +30,7 @@ fn load(path: &str) -> Result<Json, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if doc.get("schema").and_then(Json::as_str) == Some(BENCH_SCHEMA) {
-        validate_bench_report(&doc).map_err(|e| format!("{path}: {e}"))?;
-    } else {
-        validate_report(&doc).map_err(|e| format!("{path}: {e}"))?;
-    }
+    validate_report(&doc).map_err(|e| format!("{path}: {e}"))?;
     Ok(doc)
 }
 
@@ -80,18 +71,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let is_bench = |doc: &Json| doc.get("schema").and_then(Json::as_str) == Some(BENCH_SCHEMA);
-    let report = match (is_bench(&base_doc), is_bench(&cur_doc)) {
-        (true, true) => diff_bench_reports(&base_doc, &cur_doc, &cfg),
-        (false, false) => diff_reports(&base_doc, &cur_doc, &cfg),
-        _ => {
-            eprintln!(
-                "obs-diff: {baseline} and {current} use different schemas \
-                 (cannot compare an obs report with a bench document)"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    let report = diff_reports(&base_doc, &cur_doc, &cfg);
     if as_json {
         println!(
             "{}",

@@ -1,6 +1,6 @@
 //! Shared `--obs-*` command-line handling for every binary that exports the
-//! global registry (`fexiot-cli` subcommands, the quickstart example, bench
-//! bins). One place defines the known flags, the unknown-flag rejection, and
+//! global registry (`fexiot-cli` subcommands and the quickstart example).
+//! One place defines the known flags, the unknown-flag rejection, and
 //! the begin/finish lifecycle, so adding a flag (like `--obs-flame`) lands
 //! everywhere at once.
 //!

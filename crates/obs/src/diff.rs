@@ -28,8 +28,8 @@ pub enum Severity {
 pub struct Finding {
     pub severity: Severity,
     /// What kind of data drifted: `counter`, `gauge`, `histogram`, `span`,
-    /// `timing`, `critical_path`, `section`, `throughput`, `store`, or
-    /// `report`.
+    /// `timing`, `critical_path`, `timeseries`, `slo`, `stream`, `section`,
+    /// or `report`.
     pub kind: &'static str,
     /// Dotted location, e.g. `counters.fed.sim.participants`.
     pub path: String,
@@ -565,356 +565,6 @@ fn diff_span_lists(
     }
 }
 
-/// Schema tag of the per-workload benchmark document emitted by the
-/// `fexiot-bench` perf harness (`crates/bench/src/perf.rs`).
-pub const BENCH_SCHEMA: &str = "fexiot-bench/v1";
-
-/// Timing percentile fields every `fexiot-bench/v1` document carries (all
-/// unsigned microseconds).
-pub const BENCH_TIMING_FIELDS: &[&str] = &["mean", "p50", "p90", "p99", "min", "max", "total"];
-
-/// Validates that a JSON document is a well-formed `fexiot-bench/v1`
-/// benchmark report. Returns a description of the first problem found.
-pub fn validate_bench_report(doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'schema'")?;
-    if schema != BENCH_SCHEMA {
-        return Err(format!("unknown schema {schema:?} (expected {BENCH_SCHEMA:?})"));
-    }
-    for field in ["workload", "scale"] {
-        doc.get(field)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing string field '{field}'"))?;
-    }
-    for field in ["reps", "seed", "threads"] {
-        doc.get(field)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing integer field '{field}'"))?;
-    }
-    // Optional fleet-identity fields (federated workloads only): typed when
-    // present, absent otherwise.
-    if let Some(v) = doc.get("clients") {
-        v.as_u64()
-            .ok_or("'clients' must be an unsigned integer when present")?;
-    }
-    if let Some(v) = doc.get("topology") {
-        v.as_str().ok_or("'topology' must be a string when present")?;
-    }
-    // Optional throughput digest (streaming workloads only): typed when
-    // present, absent otherwise.
-    if let Some(tp) = doc.get("throughput") {
-        for field in ["events", "events_per_sec", "latency_p99_ticks"] {
-            if tp.get(field).and_then(Json::as_u64).is_none() {
-                return Err(format!("throughput missing integer field '{field}'"));
-            }
-        }
-    }
-    // Optional artifact-store digest (the store_warm workload only): the
-    // warm-loaded payload digest and byte count are deterministic; the cold
-    // populate time and derived speedup are wall-clock.
-    if let Some(st) = doc.get("store") {
-        st.get("digest")
-            .and_then(Json::as_str)
-            .ok_or("store missing string field 'digest'")?;
-        for field in ["blob_bytes", "cold_us", "speedup_milli"] {
-            if st.get(field).and_then(Json::as_u64).is_none() {
-                return Err(format!("store missing integer field '{field}'"));
-            }
-        }
-    }
-    match doc.get("items") {
-        Some(Json::Obj(members)) => {
-            for (k, v) in members {
-                if v.as_u64().is_none() {
-                    return Err(format!("items[{k:?}] is not an unsigned integer"));
-                }
-            }
-        }
-        _ => return Err("missing object field 'items'".into()),
-    }
-    let alloc = doc.get("alloc").ok_or("missing object field 'alloc'")?;
-    match alloc.get("tracked") {
-        Some(Json::Bool(_)) => {}
-        _ => return Err("alloc.tracked must be a boolean".into()),
-    }
-    for field in ["allocs", "bytes", "peak_live_bytes"] {
-        if alloc.get(field).and_then(Json::as_u64).is_none() {
-            return Err(format!("alloc missing integer field '{field}'"));
-        }
-    }
-    let timing = doc
-        .get("timing_us")
-        .ok_or("missing object field 'timing_us'")?;
-    for field in BENCH_TIMING_FIELDS {
-        if timing.get(field).and_then(Json::as_u64).is_none() {
-            return Err(format!("timing_us missing integer field '{field}'"));
-        }
-    }
-    Ok(())
-}
-
-/// Compares two validated `fexiot-bench/v1` documents. Identity fields
-/// (workload, scale, reps, seed, threads) and item counts are deterministic
-/// — drift is breaking (timing across different thread counts is never
-/// comparable). Allocation counters are breaking only when both runs
-/// tracked allocations (a tracked/untracked mismatch is advisory, since the
-/// untracked side holds zeros by construction). Timing percentiles get the
-/// usual wall-clock treatment: p50 slowdown beyond `timing_tolerance` above
-/// `timing_floor_us` at timing severity.
-pub fn diff_bench_reports(baseline: &Json, current: &Json, cfg: &DiffConfig) -> DiffReport {
-    let mut out = DiffReport::default();
-    let timing_sev = if cfg.strict_timing {
-        Severity::Breaking
-    } else {
-        Severity::Advisory
-    };
-
-    let str_field = |doc: &Json, f: &str| {
-        doc.get(f).and_then(Json::as_str).unwrap_or("?").to_string()
-    };
-    let uint_field = |doc: &Json, f: &str| doc.get(f).and_then(Json::as_u64).unwrap_or(0);
-    for field in ["workload", "scale"] {
-        let (a, b) = (str_field(baseline, field), str_field(current, field));
-        if a != b {
-            out.push(
-                Severity::Breaking,
-                "report",
-                field.into(),
-                format!("{a:?} -> {b:?} (comparing different benchmarks)"),
-            );
-        }
-    }
-    for field in ["reps", "seed", "threads"] {
-        let (a, b) = (uint_field(baseline, field), uint_field(current, field));
-        if a != b {
-            out.push(
-                Severity::Breaking,
-                "report",
-                field.into(),
-                format!("{a} -> {b} (runs are not comparable)"),
-            );
-        }
-    }
-    // Fleet-identity fields are optional but breaking whenever either side
-    // carries one: a 5-client flat run and a 2000-client hierarchical run
-    // measure different workloads even at the same seed.
-    for field in ["clients", "topology"] {
-        let render = |doc: &Json| doc.get(field).map(|v| v.to_string());
-        let (a, b) = (render(baseline), render(current));
-        if a != b {
-            let show = |v: &Option<String>| v.clone().unwrap_or_else(|| "absent".into());
-            out.push(
-                Severity::Breaking,
-                "report",
-                field.into(),
-                format!("{} -> {} (runs are not comparable)", show(&a), show(&b)),
-            );
-        }
-    }
-
-    // Item counts are pure functions of (seed, scale): exact match.
-    let a = obj_members(baseline, "items");
-    let b = obj_members(current, "items");
-    union_keys(&a, &b, |k, va, vb| {
-        let path = format!("items.{k}");
-        match (va, vb) {
-            (Some(va), Some(vb)) => {
-                if num(va) != num(vb) {
-                    out.push(Severity::Breaking, "item", path, format!("{} -> {}", va, vb));
-                }
-            }
-            (Some(va), None) => out.push(
-                Severity::Breaking,
-                "item",
-                path,
-                format!("disappeared (was {})", va),
-            ),
-            (None, Some(vb)) => out.push(
-                Severity::Breaking,
-                "item",
-                path,
-                format!("appeared (now {})", vb),
-            ),
-            (None, None) => unreachable!("key came from the union"),
-        }
-    });
-
-    let tracked = |doc: &Json| matches!(
-        doc.get("alloc").and_then(|a| a.get("tracked")),
-        Some(Json::Bool(true))
-    );
-    match (tracked(baseline), tracked(current)) {
-        (true, true) => {
-            for field in ["allocs", "bytes", "peak_live_bytes"] {
-                let get = |doc: &Json| {
-                    doc.get("alloc").and_then(|a| a.get(field)).and_then(Json::as_u64)
-                };
-                let (a, b) = (get(baseline), get(current));
-                if a != b {
-                    out.push(
-                        Severity::Breaking,
-                        "alloc",
-                        format!("alloc.{field}"),
-                        format!(
-                            "{} -> {} (allocation drift is deterministic data)",
-                            a.unwrap_or(0),
-                            b.unwrap_or(0)
-                        ),
-                    );
-                }
-            }
-        }
-        (true, false) | (false, true) => out.push(
-            Severity::Advisory,
-            "alloc",
-            "alloc.tracked".into(),
-            "one run was built without `track-alloc`; allocation counters not compared".into(),
-        ),
-        (false, false) => {}
-    }
-
-    // Streaming throughput: the event count and virtual-time p99 latency
-    // are deterministic data (breaking on drift); the wall-clock-derived
-    // sustained rate gets the advisory timing treatment. One-sided presence
-    // is advisory — the baseline may simply predate the streaming workload.
-    let tp = |doc: &Json, f: &str| {
-        doc.get("throughput").and_then(|t| t.get(f)).and_then(Json::as_u64)
-    };
-    match (baseline.get("throughput").is_some(), current.get("throughput").is_some()) {
-        (true, true) => {
-            for field in ["events", "latency_p99_ticks"] {
-                let (a, b) = (tp(baseline, field), tp(current, field));
-                if a != b {
-                    out.push(
-                        Severity::Breaking,
-                        "throughput",
-                        format!("throughput.{field}"),
-                        format!(
-                            "{} -> {} (deterministic streaming data)",
-                            a.unwrap_or(0),
-                            b.unwrap_or(0)
-                        ),
-                    );
-                }
-            }
-            if let (Some(ra), Some(rb)) = (
-                tp(baseline, "events_per_sec"),
-                tp(current, "events_per_sec"),
-            ) {
-                if ra > 0 && (rb as f64) < ra as f64 * (1.0 - cfg.timing_tolerance) {
-                    out.push(
-                        timing_sev,
-                        "timing",
-                        "throughput.events_per_sec".into(),
-                        format!(
-                            "{ra}/s -> {rb}/s ({:.0}%, tolerance {:.0}%)",
-                            (rb as f64 / ra as f64 - 1.0) * 100.0,
-                            cfg.timing_tolerance * 100.0
-                        ),
-                    );
-                }
-            }
-        }
-        (true, false) | (false, true) => out.push(
-            Severity::Advisory,
-            "throughput",
-            "throughput".into(),
-            "only one run carries a streaming throughput digest; not compared".into(),
-        ),
-        (false, false) => {}
-    }
-
-    // Artifact-store digest (store_warm workload): the warm-loaded payload
-    // digest and byte count are deterministic data — drift means the store
-    // serialized different artifacts for the same configuration, which is
-    // breaking. The cold populate time and the derived warm speedup are
-    // wall-clock and get the advisory timing treatment (a speedup *drop*
-    // beyond tolerance is flagged; an improvement never is).
-    fn st<'a>(doc: &'a Json, f: &str) -> Option<&'a Json> {
-        doc.get("store").and_then(|s| s.get(f))
-    }
-    match (baseline.get("store").is_some(), current.get("store").is_some()) {
-        (true, true) => {
-            let digest = |doc: &Json| {
-                st(doc, "digest").and_then(Json::as_str).unwrap_or("?").to_string()
-            };
-            let (da, db) = (digest(baseline), digest(current));
-            if da != db {
-                out.push(
-                    Severity::Breaking,
-                    "store",
-                    "store.digest".into(),
-                    format!("{da} -> {db} (warm-loaded artifact bytes changed)"),
-                );
-            }
-            let (ba, bb) = (
-                st(baseline, "blob_bytes").and_then(Json::as_u64),
-                st(current, "blob_bytes").and_then(Json::as_u64),
-            );
-            if ba != bb {
-                out.push(
-                    Severity::Breaking,
-                    "store",
-                    "store.blob_bytes".into(),
-                    format!(
-                        "{} -> {} (deterministic artifact size)",
-                        ba.unwrap_or(0),
-                        bb.unwrap_or(0)
-                    ),
-                );
-            }
-            if let (Some(sa), Some(sb)) = (
-                st(baseline, "speedup_milli").and_then(Json::as_u64),
-                st(current, "speedup_milli").and_then(Json::as_u64),
-            ) {
-                if sa > 0 && (sb as f64) < sa as f64 * (1.0 - cfg.timing_tolerance) {
-                    out.push(
-                        timing_sev,
-                        "timing",
-                        "store.speedup_milli".into(),
-                        format!(
-                            "warm speedup {:.1}x -> {:.1}x ({:.0}%, tolerance {:.0}%)",
-                            sa as f64 / 1000.0,
-                            sb as f64 / 1000.0,
-                            (sb as f64 / sa as f64 - 1.0) * 100.0,
-                            cfg.timing_tolerance * 100.0
-                        ),
-                    );
-                }
-            }
-        }
-        (true, false) | (false, true) => out.push(
-            Severity::Advisory,
-            "store",
-            "store".into(),
-            "only one run carries an artifact-store digest; not compared".into(),
-        ),
-        (false, false) => {}
-    }
-
-    let p50 = |doc: &Json| {
-        doc.get("timing_us").and_then(|t| t.get("p50")).and_then(Json::as_u64)
-    };
-    if let (Some(ta), Some(tb)) = (p50(baseline), p50(current)) {
-        if ta >= cfg.timing_floor_us && tb as f64 > ta as f64 * (1.0 + cfg.timing_tolerance) {
-            out.push(
-                timing_sev,
-                "timing",
-                "timing_us.p50".into(),
-                format!(
-                    "{ta}us -> {tb}us (+{:.0}%, tolerance {:.0}%)",
-                    (tb as f64 / ta as f64 - 1.0) * 100.0,
-                    cfg.timing_tolerance * 100.0
-                ),
-            );
-        }
-    }
-
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1140,191 +790,5 @@ mod tests {
         let d = diff_reports(&a, &b, &DiffConfig::default());
         assert!(!d.passed());
         assert_eq!(d.findings[0].kind, "gauge");
-    }
-
-    fn bench(seed: u64, graphs: u64, allocs: u64, tracked: bool, p50: u64) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema":"fexiot-bench/v1","workload":"featurize","scale":"small","reps":5,"seed":{seed},"threads":1,"items":{{"graphs":{graphs}}},"alloc":{{"tracked":{tracked},"allocs":{allocs},"bytes":0,"peak_live_bytes":0}},"timing_us":{{"mean":{p50},"p50":{p50},"p90":{p50},"p99":{p50},"min":{p50},"max":{p50},"total":{p50}}}}}"#
-        ))
-        .expect("valid bench doc")
-    }
-
-    #[test]
-    fn bench_docs_validate_and_identical_pass() {
-        let doc = bench(42, 150, 0, false, 5000);
-        validate_bench_report(&doc).expect("well-formed");
-        let d = diff_bench_reports(&doc, &bench(42, 150, 0, false, 5000), &DiffConfig::default());
-        assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
-        assert!(validate_bench_report(&report(1, 1)).is_err(), "obs schema must be rejected");
-    }
-
-    #[test]
-    fn bench_item_and_seed_drift_are_breaking() {
-        let d = diff_bench_reports(
-            &bench(42, 150, 0, false, 5000),
-            &bench(42, 151, 0, false, 5000),
-            &DiffConfig::default(),
-        );
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].kind, "item");
-        let d = diff_bench_reports(
-            &bench(42, 150, 0, false, 5000),
-            &bench(43, 150, 0, false, 5000),
-            &DiffConfig::default(),
-        );
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].kind, "report");
-    }
-
-    #[test]
-    fn bench_fleet_identity_drift_is_breaking() {
-        let with_fleet = |clients: u64, topology: &str| {
-            let mut doc = bench(42, 150, 0, false, 5000);
-            if let Json::Obj(members) = &mut doc {
-                members.push(("clients".into(), Json::UInt(clients)));
-                members.push(("topology".into(), Json::Str(topology.into())));
-            }
-            doc
-        };
-        let a = with_fleet(2000, "hier:2");
-        validate_bench_report(&a).expect("fleet identity fields are valid");
-        // Same fleet shape: clean pass.
-        let d = diff_bench_reports(&a, &with_fleet(2000, "hier:2"), &DiffConfig::default());
-        assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
-        // Different fleet size, and fleet vs no-fleet: both breaking.
-        let d = diff_bench_reports(&a, &with_fleet(100, "hier:2"), &DiffConfig::default());
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].path, "clients");
-        let d = diff_bench_reports(&a, &bench(42, 150, 0, false, 5000), &DiffConfig::default());
-        assert!(!d.passed(), "fleet vs flat must not compare");
-        // A malformed fleet field is rejected up front.
-        let mut bad = bench(42, 150, 0, false, 5000);
-        if let Json::Obj(members) = &mut bad {
-            members.push(("clients".into(), Json::Str("many".into())));
-        }
-        assert!(validate_bench_report(&bad).is_err());
-    }
-
-    #[test]
-    fn bench_throughput_mixes_deterministic_and_advisory_severities() {
-        let with_tp = |events: u64, eps: u64, p99: u64| {
-            let mut doc = bench(42, 150, 0, false, 5000);
-            if let Json::Obj(members) = &mut doc {
-                members.push((
-                    "throughput".into(),
-                    Json::Obj(vec![
-                        ("events".into(), Json::UInt(events)),
-                        ("events_per_sec".into(), Json::UInt(eps)),
-                        ("latency_p99_ticks".into(), Json::UInt(p99)),
-                    ]),
-                ));
-            }
-            doc
-        };
-        let cfg = DiffConfig::default();
-        let a = with_tp(240, 50_000, 1);
-        validate_bench_report(&a).expect("throughput fields are valid");
-        // Identical digests: clean pass.
-        let d = diff_bench_reports(&a, &with_tp(240, 50_000, 1), &cfg);
-        assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
-        // Event count and virtual-time p99 are deterministic: breaking.
-        let d = diff_bench_reports(&a, &with_tp(239, 50_000, 1), &cfg);
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].path, "throughput.events");
-        let d = diff_bench_reports(&a, &with_tp(240, 50_000, 9), &cfg);
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].path, "throughput.latency_p99_ticks");
-        // A sustained-rate collapse past tolerance is advisory wall-clock.
-        let d = diff_bench_reports(&a, &with_tp(240, 10_000, 1), &cfg);
-        assert!(d.passed(), "{}", d.render());
-        assert_eq!(d.findings[0].path, "throughput.events_per_sec");
-        assert_eq!(d.findings[0].severity, Severity::Advisory);
-        // One-sided presence (pre-streaming baseline): advisory only.
-        let d = diff_bench_reports(&bench(42, 150, 0, false, 5000), &a, &cfg);
-        assert!(d.passed(), "{}", d.render());
-        assert_eq!(d.findings[0].kind, "throughput");
-        // A malformed throughput field is rejected up front.
-        let mut bad = bench(42, 150, 0, false, 5000);
-        if let Json::Obj(members) = &mut bad {
-            members.push(("throughput".into(), Json::Obj(vec![])));
-        }
-        assert!(validate_bench_report(&bad).is_err());
-    }
-
-    #[test]
-    fn bench_store_digest_mixes_deterministic_and_advisory_severities() {
-        let with_store = |digest: &str, blob_bytes: u64, speedup_milli: u64| {
-            let mut doc = bench(42, 150, 0, false, 5000);
-            if let Json::Obj(members) = &mut doc {
-                members.push((
-                    "store".into(),
-                    Json::Obj(vec![
-                        ("digest".into(), Json::Str(digest.to_string())),
-                        ("blob_bytes".into(), Json::UInt(blob_bytes)),
-                        ("cold_us".into(), Json::UInt(90_000)),
-                        ("speedup_milli".into(), Json::UInt(speedup_milli)),
-                    ]),
-                ));
-            }
-            doc
-        };
-        let cfg = DiffConfig::default();
-        let a = with_store("fnv1a:00000000deadbeef", 40_000, 12_000);
-        validate_bench_report(&a).expect("store fields are valid");
-        // Identical digests: clean pass.
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 12_000), &cfg);
-        assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
-        // Payload digest and blob size are deterministic: breaking.
-        let d = diff_bench_reports(&a, &with_store("fnv1a:0000000000000bad", 40_000, 12_000), &cfg);
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].path, "store.digest");
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 39_999, 12_000), &cfg);
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].path, "store.blob_bytes");
-        // A warm-speedup collapse past tolerance is advisory wall-clock; an
-        // improvement is never flagged.
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 2_000), &cfg);
-        assert!(d.passed(), "{}", d.render());
-        assert_eq!(d.findings[0].path, "store.speedup_milli");
-        assert_eq!(d.findings[0].severity, Severity::Advisory);
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 90_000), &cfg);
-        assert!(d.findings.is_empty(), "{}", d.render());
-        // One-sided presence (pre-store baseline): advisory only.
-        let d = diff_bench_reports(&bench(42, 150, 0, false, 5000), &a, &cfg);
-        assert!(d.passed(), "{}", d.render());
-        assert_eq!(d.findings[0].kind, "store");
-        // A malformed store section is rejected up front.
-        let mut bad = bench(42, 150, 0, false, 5000);
-        if let Json::Obj(members) = &mut bad {
-            members.push(("store".into(), Json::Obj(vec![])));
-        }
-        assert!(validate_bench_report(&bad).is_err());
-    }
-
-    #[test]
-    fn bench_alloc_drift_breaking_only_when_both_tracked() {
-        let cfg = DiffConfig::default();
-        let d = diff_bench_reports(&bench(42, 150, 100, true, 5000), &bench(42, 150, 101, true, 5000), &cfg);
-        assert!(!d.passed());
-        assert_eq!(d.findings[0].kind, "alloc");
-        // Tracked vs untracked: advisory note, no breaking comparison.
-        let d = diff_bench_reports(&bench(42, 150, 100, true, 5000), &bench(42, 150, 0, false, 5000), &cfg);
-        assert!(d.passed(), "{}", d.render());
-        assert_eq!(d.advisory(), 1);
-    }
-
-    #[test]
-    fn bench_timing_drift_advisory_unless_strict() {
-        let base = bench(42, 150, 0, false, 10_000);
-        let slow = bench(42, 150, 0, false, 20_000);
-        let d = diff_bench_reports(&base, &slow, &DiffConfig::default());
-        assert!(d.passed());
-        assert_eq!(d.advisory(), 1);
-        let d = diff_bench_reports(
-            &base,
-            &slow,
-            &DiffConfig { strict_timing: true, ..DiffConfig::default() },
-        );
-        assert!(!d.passed());
     }
 }

@@ -63,7 +63,7 @@ pub use export::{
     prometheus_from_report, prometheus_from_stream, validate_prometheus_text, WatchState,
 };
 pub use json::Json;
-pub use profile::{collapsed_stacks, hot_spans, write_flame, SpanStat};
+pub use profile::{collapsed_stacks, write_flame, SpanStat};
 pub use registry::{
     is_environment_name, is_timing_name, Event, EventRecord, Histogram, HistogramSnapshot,
     Registry, Snapshot, SpanGuard, SpanNode, ENVIRONMENT_PREFIX, FLIGHT_RECORDER_CAP, RATE_SUFFIX,

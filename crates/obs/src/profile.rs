@@ -73,19 +73,6 @@ pub fn profile(snap: &Snapshot) -> Vec<SpanStat> {
         .collect()
 }
 
-/// The `n` paths with the most exclusive time, descending (ties broken by
-/// path, so ordering is deterministic).
-pub fn hot_spans(snap: &Snapshot, n: usize) -> Vec<SpanStat> {
-    let mut stats = profile(snap);
-    stats.sort_by(|a, b| {
-        b.exclusive_us
-            .cmp(&a.exclusive_us)
-            .then_with(|| a.path.cmp(&b.path))
-    });
-    stats.truncate(n);
-    stats
-}
-
 /// Renders the snapshot's span tree as collapsed stacks (one
 /// `frame;frame value` line per path, value = exclusive µs, sorted by path;
 /// trailing newline when non-empty).
@@ -220,19 +207,6 @@ mod tests {
             parsed,
             vec![("a_b_c".to_string(), 6), ("a_b_c;leaf".to_string(), 4)]
         );
-    }
-
-    #[test]
-    fn hot_spans_order_by_exclusive_time() {
-        let s = snap(vec![
-            node("slow", 500, vec![]),
-            node("fast", 10, vec![]),
-            node("mid", 50, vec![]),
-        ]);
-        let hot = hot_spans(&s, 2);
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].path, "slow");
-        assert_eq!(hot[1].path, "mid");
     }
 
     #[test]

@@ -381,6 +381,9 @@ struct Inner {
     recorder: Option<(usize, VecDeque<EventRecord>)>,
     /// Live JSONL event sink (`None` = no streaming).
     stream: Option<StreamState>,
+    /// Bumped by every `reset`. Guards carry the epoch they were opened in,
+    /// so a guard that outlives a reset closes nothing.
+    epoch: u64,
 }
 
 impl Inner {
@@ -523,14 +526,17 @@ impl Registry {
     /// Clears every span, metric, and recorded event, and resets the event
     /// sequence to zero. The enable flag and any attached stream sink or
     /// flight recorder survive (with the recorder emptied), so a long-lived
-    /// registry can be reused across runs without re-wiring exporters.
+    /// registry can be reused across runs without re-wiring exporters. Spans
+    /// still open are discarded: their guards close nothing when dropped.
     pub fn reset(&self) {
         let mut inner = self.lock();
         let stream = inner.stream.take();
         let recorder_cap = inner.recorder.as_ref().map(|(cap, _)| *cap);
+        let epoch = inner.epoch + 1;
         *inner = Inner::default();
         inner.stream = stream;
         inner.recorder = recorder_cap.map(|cap| (cap, VecDeque::new()));
+        inner.epoch = epoch;
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -544,7 +550,7 @@ impl Registry {
     /// per-thread nesting of currently open spans on this registry.
     pub fn span<S: Into<String>>(self: &Arc<Self>, name: S) -> SpanGuard {
         if !self.is_enabled() {
-            return SpanGuard { reg: None, idx: 0 };
+            return SpanGuard::noop();
         }
         let start = Instant::now();
         // Captured before taking the lock so the registry's own bookkeeping
@@ -553,7 +559,7 @@ impl Registry {
         let mut inner = self.lock();
         if inner.spans.len() >= MAX_SPANS {
             inner.dropped_spans += 1;
-            return SpanGuard { reg: None, idx: 0 };
+            return SpanGuard::noop();
         }
         let tid = std::thread::current().id();
         let stack = inner.open.entry(tid).or_default();
@@ -578,14 +584,20 @@ impl Registry {
         SpanGuard {
             reg: Some(Arc::clone(self)),
             idx,
+            epoch: inner.epoch,
         }
     }
 
-    fn close_span(&self, idx: usize) {
+    fn close_span(&self, idx: usize, epoch: u64) {
         // Captured before the lock for the same reason as in `span`: the
         // close-side bookkeeping below belongs to the parent's window.
         let alloc_now = crate::alloc::is_tracking().then(crate::alloc::stats);
         let mut inner = self.lock();
+        if inner.epoch != epoch {
+            // Opened before a `reset`: its record is gone, and `idx` may now
+            // name a span opened since.
+            return;
+        }
         let elapsed = inner.spans[idx].start.elapsed();
         let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
         inner.spans[idx].elapsed_us = Some(elapsed_us);
@@ -942,19 +954,58 @@ fn absorb_span(inner: &mut Inner, node: &SpanNode, parent: Option<usize>) {
 pub struct SpanGuard {
     reg: Option<Arc<Registry>>,
     idx: usize,
+    /// The registry's reset epoch when the span opened.
+    epoch: u64,
 }
 
 impl SpanGuard {
     /// A guard that records nothing (disabled path).
     pub fn noop() -> Self {
-        Self { reg: None, idx: 0 }
+        Self {
+            reg: None,
+            idx: 0,
+            epoch: 0,
+        }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(reg) = self.reg.take() {
-            reg.close_span(self.idx);
+            reg.close_span(self.idx, self.epoch);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn guard_dropped_after_reset_records_nothing() {
+        let reg = Arc::new(Registry::new());
+        let stale = reg.span("before");
+        reg.reset();
+        drop(stale);
+        let snap = reg.snapshot();
+        assert!(snap.roots.is_empty(), "{:?}", snap.roots);
+    }
+
+    #[test]
+    fn stale_guard_leaves_a_span_opened_after_reset_open() {
+        let reg = Arc::new(Registry::new());
+        let stale = reg.span("before");
+        reg.reset();
+        // Reuses the stale guard's index 0.
+        let current = reg.span("after");
+        drop(stale);
+        assert_eq!(reg.lock().spans[0].elapsed_us, None, "`after` was closed");
+        drop(reg.span("child"));
+        drop(current);
+        let snap = reg.snapshot();
+        assert_eq!(snap.roots.len(), 1, "{:?}", snap.roots);
+        assert_eq!(snap.roots[0].name, "after");
+        assert_eq!(snap.roots[0].children.len(), 1);
+        assert_eq!(snap.roots[0].children[0].name, "child");
     }
 }
