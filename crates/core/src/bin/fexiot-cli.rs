@@ -42,8 +42,8 @@
 //! `serve` runs the streaming detection service (`fexiot-stream`): a seeded
 //! replay fleet (or a recorded `fexiot-obs-events/v1` wire file via
 //! `--input`) streams per-home events through the bounded-mailbox actor
-//! pipeline — incremental graph maintenance, then detection shards fanned
-//! out over the thread pool. `--model` plugs the trained detector in
+//! pipeline — incremental graph maintenance, then detection shards drained
+//! in shard order. `--model` plugs the trained detector in
 //! (default: the lightweight runtime-feature detector); `--record` writes
 //! the replayed stream to a wire file; `--slow-shard` injects a slow
 //! detection shard to exercise backpressure and the streaming SLO gate.
@@ -140,21 +140,29 @@ impl Args {
     }
 
     fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.get_num(name).unwrap_or(default)
     }
 
     fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.get_num(name).unwrap_or(default)
     }
 
     fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.get_num(name).unwrap_or(default)
+    }
+
+    /// A numeric flag's value, `None` when the flag is absent. A value that
+    /// does not parse is a usage error, never a silent default: the process
+    /// exits 2 naming the flag and the value.
+    fn get_num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.get(name)?;
+        match v.parse() {
+            Ok(x) => Some(x),
+            Err(_) => {
+                eprintln!("--{name} expects a number, got {v:?}");
+                std::process::exit(2);
+            }
+        }
     }
 }
 
@@ -253,15 +261,11 @@ fn main() -> ExitCode {
     let Some(args) = Args::parse() else {
         return usage();
     };
-    // `--threads N` pins the data-parallel width before any stage runs;
-    // without it the pool resolves FEXIOT_THREADS / available parallelism.
-    match args.get("threads").map(str::parse::<usize>) {
-        None => {}
-        Some(Ok(t)) if t > 0 => fexiot_par::set_threads(t),
-        Some(_) => {
-            eprintln!("--threads expects a positive integer");
-            return usage();
-        }
+    // `--threads N` (else FEXIOT_THREADS) pins the data-parallel width
+    // before any stage runs; without either the pool uses every core.
+    if let Err(e) = fexiot::set_threads_from(args.get("threads")) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
     }
     // The shared helper owns the `--obs-*` namespace: known-flag validation,
     // stream/report/flame lifecycle (see fexiot_obs::cli).
@@ -566,10 +570,7 @@ fn run(
                 failover,
             };
             config.quorum = args.get_f64("quorum", 0.0);
-            config.deadline_ticks = args
-                .get("deadline-ticks")
-                .and_then(|v| v.parse().ok())
-                .filter(|&t: &usize| t > 0);
+            config.deadline_ticks = args.get_num("deadline-ticks").filter(|&t: &usize| t > 0);
 
             // `--checkpoint-dir DIR` is a compatibility alias for
             // `--store DIR`: both open the same manifest-backed store.
@@ -881,7 +882,7 @@ fn serve(
         maintain_rate: args.get_usize("maintain-rate", defaults.maintain_rate).max(1),
         detect_rate: args.get_usize("detect-rate", defaults.detect_rate).max(1),
         round_events: args.get_usize("round-events", defaults.round_events).max(1),
-        slow_shard: args.get("slow-shard").and_then(|v| v.parse().ok()),
+        slow_shard: args.get_num("slow-shard"),
     };
 
     // Streaming telemetry specs: p99 virtual-time latency, shed deltas, and

@@ -4,6 +4,29 @@ use fexiot_gnn::{ContrastiveConfig, EncoderKind};
 use fexiot_graph::FeatureConfig;
 use fexiot_ml::DEFAULT_DRIFT_THRESHOLD;
 
+/// Pins the data-parallel width from a `--threads` value or, when there is
+/// none, from `FEXIOT_THREADS`. Whichever is given must be a positive
+/// integer; the error names it and its value. With neither, the pool keeps
+/// its default of every core.
+pub fn set_threads_from(flag: Option<&str>) -> Result<(), String> {
+    let (source, value) = match flag {
+        Some(v) => ("--threads", v.to_string()),
+        None => match std::env::var_os(fexiot_par::THREADS_ENV) {
+            Some(v) => (fexiot_par::THREADS_ENV, v.to_string_lossy().into_owned()),
+            None => return Ok(()),
+        },
+    };
+    match value.parse::<usize>() {
+        Ok(t) if t > 0 => {
+            fexiot_par::set_threads(t);
+            Ok(())
+        }
+        _ => Err(format!(
+            "{source} expects a positive integer, got {value:?}"
+        )),
+    }
+}
+
 /// End-to-end pipeline configuration with a builder API.
 #[derive(Debug, Clone)]
 pub struct FexIotConfig {

@@ -34,7 +34,7 @@ pub mod federation;
 pub mod pipeline;
 pub mod warm;
 
-pub use config::FexIotConfig;
+pub use config::{set_threads_from, FexIotConfig};
 pub use federation::{build_federation, build_federation_with_data, FederationConfig};
 pub use pipeline::{build_encoder, Detection, FexIot};
 pub use warm::{dataset_identity, load_or_generate_dataset, load_or_train_model, model_identity};

@@ -1,8 +1,9 @@
 //! Width-invariance lock for the data-parallel execution layer: every stage
 //! that runs on a [`fexiot_par::ParPool`] must produce **byte-identical**
-//! results at 1, 2, and 7 threads. Chunk boundaries and per-chunk RNG streams
-//! are pure functions of the *requested* width, and every gather preserves
-//! submission order, so this holds by construction — these tests lock it.
+//! results at 1, 2, and 7 threads. Chunk boundaries are pure functions of
+//! the *requested* width, no draw depends on which worker runs an item, and
+//! every gather preserves submission order, so this holds by construction —
+//! these tests lock it.
 //!
 //! Stages with explicit-pool variants (`*_with`) are exercised on private
 //! pools; federation and explanation route through the process-global pool,

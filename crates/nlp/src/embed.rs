@@ -9,6 +9,7 @@
 //! rely on.
 
 use crate::lexicon::Lexicon;
+use fexiot_tensor::codec::{fnv1a_extend, FNV1A_OFFSET};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::rng::Rng;
 
@@ -19,12 +20,7 @@ pub const SENTENCE_DIM: usize = 512;
 
 /// FNV-1a hash for deterministic per-string seeding.
 fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_extend(FNV1A_OFFSET, s.as_bytes())
 }
 
 fn seeded_unit_vector(seed: u64, dim: usize) -> Vec<f64> {

@@ -32,7 +32,7 @@ pub const OBS_FLAGS: &[&str] = &[
 pub struct ObsCli {
     /// `--obs-summary`: print the span tree and metric digests after the run.
     pub summary: bool,
-    /// `--obs-out DIR`: write a `fexiot-obs/v1` report to `DIR/<run>.json`.
+    /// `--obs-out DIR`: write a `fexiot-obs/v4` report to `DIR/<run>.json`.
     pub out: Option<PathBuf>,
     /// `--obs-stream FILE`: stream `fexiot-obs-events/v1` JSONL live to FILE.
     pub stream: Option<PathBuf>,

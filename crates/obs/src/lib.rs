@@ -65,9 +65,8 @@ pub use export::{
 pub use json::Json;
 pub use profile::{collapsed_stacks, write_flame, SpanStat};
 pub use registry::{
-    is_environment_name, is_timing_name, Event, EventRecord, Histogram, HistogramSnapshot,
-    Registry, Snapshot, SpanGuard, SpanNode, ENVIRONMENT_PREFIX, FLIGHT_RECORDER_CAP, RATE_SUFFIX,
-    TIMING_SUFFIX,
+    is_timing_name, Event, EventRecord, Histogram, HistogramSnapshot, Registry, Snapshot,
+    SpanGuard, SpanNode, FLIGHT_RECORDER_CAP, RATE_SUFFIX, TIMING_SUFFIX,
 };
 pub use report::{
     check_report_file, collect_report_paths, deterministic_json, render_summary,

@@ -96,19 +96,6 @@ pub fn is_timing_name(name: &str) -> bool {
     name.ends_with(TIMING_SUFFIX) || name.ends_with(RATE_SUFFIX)
 }
 
-/// Prefix for metrics describing the *execution environment* (worker-pool
-/// sizing and other host facts from `fexiot-par`) rather than workload
-/// results. They legitimately differ between otherwise-identical runs on
-/// different machines or `--threads` settings, so deterministic exports drop
-/// them and `obs-diff` treats their drift as advisory.
-pub const ENVIRONMENT_PREFIX: &str = "par.";
-
-/// True when a metric name designates execution-environment data (see
-/// [`ENVIRONMENT_PREFIX`]): machine-dependent but not wall-clock.
-pub fn is_environment_name(name: &str) -> bool {
-    name.starts_with(ENVIRONMENT_PREFIX)
-}
-
 /// Live streaming state: a JSONL sink plus the timing mode.
 struct StreamState {
     sink: Box<dyn Write + Send>,

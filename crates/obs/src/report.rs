@@ -3,7 +3,7 @@
 //! serialization for golden-style diffing.
 
 use crate::json::Json;
-use crate::registry::{is_environment_name, is_timing_name, HistogramSnapshot, Snapshot, SpanNode};
+use crate::registry::{is_timing_name, HistogramSnapshot, Snapshot, SpanNode};
 use crate::trace::{critical_path_to_json, render_critical_path, CriticalPathEntry};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -105,10 +105,9 @@ pub fn to_json(snap: &Snapshot, run: &str, timing: Timing) -> Json {
 /// [`to_json`] plus an optional `critical_path` section (federated runs).
 /// With [`Timing::Exclude`], histograms and gauges whose names mark them as
 /// wall-clock data (`*_us` durations, `*_per_sec` rates — see
-/// [`crate::is_timing_name`]) or as execution-environment facts (`par.*`
-/// worker-pool sizing — see [`crate::registry::is_environment_name`]) are
-/// omitted too — both vary across hosts/thread counts without affecting
-/// results, the metric-shaped analogue of span `elapsed_us`.
+/// [`crate::is_timing_name`]) are omitted too — they vary across hosts
+/// without affecting results, the metric-shaped analogue of span
+/// `elapsed_us`.
 pub fn to_json_full(
     snap: &Snapshot,
     run: &str,
@@ -120,7 +119,7 @@ pub fn to_json_full(
 
 /// [`to_json_full`] plus the optional v2 `timeseries`/`slo` sections. Both
 /// sections hold only deterministic data by construction (the store refuses
-/// timing/environment metrics), so they are emitted under [`Timing::Exclude`]
+/// timing metrics), so they are emitted under [`Timing::Exclude`]
 /// too.
 pub fn to_json_with(
     snap: &Snapshot,
@@ -150,10 +149,7 @@ pub fn to_json_with(
             Json::Obj(
                 snap.gauges
                     .iter()
-                    .filter(|(k, _)| {
-                        (timing == Timing::Include || !is_timing_name(k))
-                            && !is_environment_name(k)
-                    })
+                    .filter(|(k, _)| timing == Timing::Include || !is_timing_name(k))
                     .map(|(k, &v)| (k.clone(), Json::Num(v)))
                     .collect(),
             ),
@@ -163,10 +159,7 @@ pub fn to_json_with(
             Json::Obj(
                 snap.histograms
                     .iter()
-                    .filter(|(k, _)| {
-                        (timing == Timing::Include || !is_timing_name(k))
-                            && !is_environment_name(k)
-                    })
+                    .filter(|(k, _)| timing == Timing::Include || !is_timing_name(k))
                     .map(|(k, h)| (k.clone(), hist_to_json(h)))
                     .collect(),
             ),

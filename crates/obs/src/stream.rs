@@ -10,15 +10,7 @@
 //! `Timing::Exclude` report exports).
 
 use crate::json::Json;
-use crate::registry::{is_environment_name, is_timing_name, Event, EventRecord};
-
-/// True when a metric write is suppressed in timing-excluded streams:
-/// wall-clock data (`*_us`, `*_per_sec`) and execution-environment facts
-/// (`par.*` pool sizing) both vary across hosts/thread counts without
-/// affecting results.
-fn suppressed_when_excluded(name: &str) -> bool {
-    is_timing_name(name) || is_environment_name(name)
-}
+use crate::registry::{is_timing_name, Event, EventRecord};
 
 /// Schema tag carried by the stream header line.
 pub const EVENT_SCHEMA: &str = "fexiot-obs-events/v1";
@@ -67,7 +59,7 @@ pub fn event_to_json(rec: &EventRecord, include_timing: bool) -> Option<Json> {
             members.push(("total".into(), Json::UInt(*total)));
         }
         Event::Gauge { name, value } => {
-            if !include_timing && suppressed_when_excluded(name) {
+            if !include_timing && is_timing_name(name) {
                 return None;
             }
             members.push(("ev".into(), Json::Str("gauge".into())));
@@ -75,7 +67,7 @@ pub fn event_to_json(rec: &EventRecord, include_timing: bool) -> Option<Json> {
             members.push(("value".into(), Json::Num(*value)));
         }
         Event::Hist { name, value } => {
-            if !include_timing && suppressed_when_excluded(name) {
+            if !include_timing && is_timing_name(name) {
                 return None;
             }
             members.push(("ev".into(), Json::Str("hist".into())));

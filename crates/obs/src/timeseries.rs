@@ -5,13 +5,13 @@
 //! store answers "when did it happen" at round granularity, which is what
 //! fleet-health questions ("when did quorum health start collapsing?") need.
 //! Samples are drawn from deterministic metrics only — timing (`*_us`,
-//! `*_per_sec`) and environment (`par.*`) names are refused — so same-seed
-//! runs produce byte-identical series at any thread count, and the section
-//! can sit inside the diffable report.
+//! `*_per_sec`) names are refused — so same-seed runs produce
+//! byte-identical series at any thread count, and the section can sit
+//! inside the diffable report.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::registry::{is_environment_name, is_timing_name, Snapshot};
+use crate::registry::{is_timing_name, Snapshot};
 use crate::Json;
 
 /// Default number of samples retained per series. Far above any CI run
@@ -134,13 +134,13 @@ impl TimeSeriesStore {
         self.capacity
     }
 
-    /// Registers a snapshot-driven sample spec. Timing and environment
-    /// metrics are refused (`Err`): series must stay deterministic.
+    /// Registers a snapshot-driven sample spec. Timing metrics are refused
+    /// (`Err`): series must stay deterministic.
     pub fn add_spec(&mut self, spec: SampleSpec) -> Result<(), String> {
         let metric = spec.metric();
-        if is_timing_name(metric) || is_environment_name(metric) {
+        if is_timing_name(metric) {
             return Err(format!(
-                "time-series metric {metric:?} is nondeterministic (timing or environment); \
+                "time-series metric {metric:?} is nondeterministic (timing); \
                  series must be byte-identical across same-seed runs"
             ));
         }
@@ -185,7 +185,7 @@ impl TimeSeriesStore {
     /// Records one directly-computed sample (kind `sample`), e.g. a value the
     /// producer already has in hand. Nondeterministic names are dropped.
     pub fn push_sample(&mut self, round: u64, name: &str, value: f64) {
-        if is_timing_name(name) || is_environment_name(name) || !value.is_finite() {
+        if is_timing_name(name) || !value.is_finite() {
             return;
         }
         self.push(round, name, "sample", value);
@@ -373,9 +373,7 @@ mod tests {
         assert!(ts
             .add_spec(SampleSpec::HistQuantile { name: "client.step_us".into(), q: 0.5 })
             .is_err());
-        assert!(ts.add_spec(SampleSpec::CounterDelta("par.pool_threads".into())).is_err());
         ts.push_sample(0, "span_us", 1.0);
-        ts.push_sample(0, "par.width", 4.0);
         ts.push_sample(0, "fed.nan", f64::NAN);
         assert!(ts.is_empty());
     }

@@ -13,24 +13,19 @@
 //!   threads)`. Chunk `0` runs on the calling thread.
 //! * **Order-preserving gather.** Results are concatenated in chunk order,
 //!   so the output vector is identical to the sequential map.
-//! * **Sequential seed-splitting.** [`ParPool::map_rng`] derives one RNG per
-//!   *item* (not per worker) by forking a base stream on the calling thread
-//!   before any work is scattered; item `i` sees the same stream whether the
-//!   pool has 1 or 64 threads.
-//! * **Inline fast path.** With one thread (or one item) no thread is
-//!   spawned and no synchronization happens — the single-thread run *is* the
-//!   sequential code path.
+//! * **Inline fast path.** With one chunk, one core, or inside a worker no
+//!   thread is spawned and no synchronization happens — the chunks run in
+//!   order on the calling thread, which *is* the sequential code path.
+//!
+//! Callers that need randomness draw it sequentially on the calling thread
+//! before scattering, so item `i` sees the same stream at any width.
 //!
 //! Observability: workers must not record into the process-global registry
 //! (the per-thread span stacks would interleave nondeterministically).
 //! Callers either keep worker closures obs-free, or route them into
-//! per-worker child registries with [`fexiot_obs::with_registry`] and merge
-//! the snapshots on the calling thread in worker order via
-//! [`Registry::absorb`](fexiot_obs::Registry::absorb). The pool records a
-//! `par.pool.workers` gauge (an *environment* name — excluded from
-//! deterministic exports, see `fexiot_obs::is_environment_name`).
+//! per-worker child registries (`fexiot_obs::with_registry`) and merge the
+//! snapshots on the calling thread in worker order (`Registry::absorb`).
 
-use fexiot_tensor::rng::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -44,38 +39,13 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "FEXIOT_THREADS";
 
-/// Environment variable forcing threaded execution even on machines whose
-/// available parallelism is 1 (see [`hardware_width`]).
-pub const FORCE_ENV: &str = "FEXIOT_PAR_FORCE";
-
-/// The width the machine can actually run concurrently, cached once.
-///
-/// Chunking and seed-splitting are pure functions of the *requested* thread
-/// count, so results never depend on this value — but the execution strategy
-/// does. On a single-core machine real threads are pure overhead (and the
-/// pair scope's spin rendezvous degrades to timeslice thrash), so the pool
-/// falls back to the sequential call sequence whenever this is 1. Setting
-/// `FEXIOT_PAR_FORCE=1` bypasses the cap so single-core CI machines still
-/// exercise the threaded code paths.
-fn hardware_width() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        if std::env::var(FORCE_ENV).is_ok_and(|v| v == "1") {
-            return usize::MAX;
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 thread_local! {
-    /// True while this thread is executing a chunk for an outer `map_*`
-    /// call. Nested pool calls run inline instead of spawning again — one
-    /// level of scatter already saturates the machine, and oversubscribing
-    /// (e.g. every federated client worker opening its own pair scope)
-    /// turns the spin rendezvous into scheduler thrash. Purely an execution
-    /// strategy: results are identical either way.
+    /// True while this thread is executing a chunk for an outer pool call.
+    /// Nested pool calls run inline instead of spawning again — one level
+    /// of scatter already saturates the machine, and oversubscribing (e.g.
+    /// every federated client worker opening its own pair scope) turns the
+    /// spin rendezvous into scheduler thrash. Purely an execution strategy:
+    /// results are identical either way.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -101,20 +71,6 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// Raw machine parallelism check, ignoring [`FORCE_ENV`]: the pair scope
-/// uses this to pick a non-spinning wait strategy when threads are forced
-/// onto a single core (spinning would burn the timeslice the companion
-/// thread needs to make progress).
-pub(crate) fn single_core() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            == 1
-    })
-}
-
 /// Sets the process-global thread count used by [`pool`] (the `--threads`
 /// CLI flag lands here). Clamped to at least 1.
 pub fn set_threads(threads: usize) {
@@ -133,8 +89,8 @@ pub fn pool() -> ParPool {
 }
 
 /// A deterministic scatter-gather executor. Creating one is free (it holds
-/// no threads); each `map_*` call spawns scoped workers only when both the
-/// thread count and the item count warrant it.
+/// no threads); each call spawns scoped workers only when the thread count,
+/// the item count and the machine all warrant it.
 #[derive(Debug, Clone, Copy)]
 pub struct ParPool {
     threads: usize,
@@ -148,11 +104,15 @@ impl ParPool {
         }
     }
 
-    /// The machine's available parallelism (1 when unknown).
+    /// The machine's available parallelism (1 when unknown), cached once.
+    /// Chunking never depends on it — only whether chunks run on threads.
     pub fn available() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        static CACHE: OnceLock<usize> = OnceLock::new();
+        *CACHE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 
     /// Thread count from `FEXIOT_THREADS` (when set to a positive integer),
@@ -172,7 +132,8 @@ impl ParPool {
 
     /// Contiguous chunk boundaries for `n` items: a pure function of
     /// `(n, self.threads)`, never of runtime scheduling. At most `threads`
-    /// chunks; the first `n % k` chunks carry one extra item.
+    /// chunks, none empty unless `n == 0`; the first `n % k` chunks carry
+    /// one extra item.
     fn chunk_bounds(&self, n: usize) -> Vec<(usize, usize)> {
         let k = self.threads.min(n).max(1);
         let base = n / k;
@@ -187,15 +148,43 @@ impl ParPool {
         bounds
     }
 
-    /// Records the pool-width gauge once per map/scope call. The name is an
-    /// environment name (`par.*`): visible in summaries, excluded from
-    /// deterministic reports so runs at different `--threads` still diff
-    /// clean. Fired on the inline path too — every code path emits the same
-    /// event sequence regardless of thread count, which keeps event-stream
-    /// `seq` numbering (and therefore timing-excluded streams) bit-identical
-    /// between `--threads 1` and `--threads N`.
-    fn note_use(&self) {
-        fexiot_obs::gauge_set("par.pool.workers", self.threads as f64);
+    /// The one scatter: `work(chunk)` for every chunk, results concatenated
+    /// in chunk order. Chunk 0 runs on the calling thread and the rest on
+    /// scoped workers — unless there is one chunk, one core, or the caller
+    /// is itself a worker, in which case all chunks run inline in order.
+    /// A worker's panic resumes on the calling thread.
+    fn scatter<C: Send, R: Send>(
+        &self,
+        chunks: Vec<C>,
+        work: impl Fn(C) -> Vec<R> + Sync,
+    ) -> Vec<R> {
+        let threaded = chunks.len() > 1 && Self::available() > 1 && !in_worker();
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().expect("chunk_bounds yields a chunk");
+        if !threaded {
+            let mut out = work(first);
+            chunks.for_each(|c| out.extend(work(c)));
+            return out;
+        }
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .map(|c| {
+                    scope.spawn(move || {
+                        let _w = WorkerGuard::enter();
+                        work(c)
+                    })
+                })
+                .collect();
+            let mut out = {
+                let _w = WorkerGuard::enter();
+                work(first)
+            };
+            for h in handles {
+                out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            out
+        })
     }
 
     /// Order-preserving parallel map: `out[i] = f(i, &items[i])`.
@@ -204,7 +193,12 @@ impl ParPool {
         items: &[T],
         f: impl Fn(usize, &T) -> R + Sync,
     ) -> Vec<R> {
-        self.map_chunks(items, |start, chunk| {
+        let chunks = self
+            .chunk_bounds(items.len())
+            .into_iter()
+            .map(|(start, end)| (start, &items[start..end]))
+            .collect();
+        self.scatter(chunks, |(start, chunk)| {
             chunk
                 .iter()
                 .enumerate()
@@ -213,148 +207,15 @@ impl ParPool {
         })
     }
 
-    /// True when this call should actually scatter work across threads.
-    /// Purely an execution-strategy decision — results are identical either
-    /// way (see the module docs, [`hardware_width`], and [`IN_WORKER`]).
-    fn run_threaded(&self, chunks: usize) -> bool {
-        chunks > 1 && hardware_width() > 1 && !in_worker()
-    }
-
-    /// Order-preserving map over an index range: `out[i] = f(i)`.
-    pub fn map_range<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        self.note_use();
-        let bounds = self.chunk_bounds(n);
-        if !self.run_threaded(bounds.len()) {
-            return (0..n).map(f).collect();
-        }
-        let mut results: Vec<Vec<R>> = Vec::with_capacity(bounds.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(bounds.len() - 1);
-            for &(start, end) in &bounds[1..] {
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let _w = WorkerGuard::enter();
-                    (start..end).map(f).collect::<Vec<R>>()
-                }));
-            }
-            let (s0, e0) = bounds[0];
-            results.push({
-                let _w = WorkerGuard::enter();
-                (s0..e0).map(&f).collect()
-            });
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
-
-    /// Order-preserving chunked map: `f(start, chunk)` returns the results
-    /// for `items[start..start + chunk.len()]`; chunks are concatenated in
-    /// order. The lowest-level entry point — use it when per-chunk setup
-    /// (scratch buffers, a chunk-local registry) amortizes better than
-    /// per-item closures.
-    ///
-    /// # Panics
-    /// Panics if a chunk closure returns the wrong number of results.
-    pub fn map_chunks<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(usize, &[T]) -> Vec<R> + Sync,
-    ) -> Vec<R> {
-        self.note_use();
-        let bounds = self.chunk_bounds(items.len());
-        if !self.run_threaded(bounds.len()) {
-            // Same per-chunk call sequence as the threaded path, one thread.
-            let out: Vec<R> = bounds
-                .iter()
-                .flat_map(|&(start, end)| f(start, &items[start..end]))
-                .collect();
-            assert_eq!(out.len(), items.len(), "map_chunks: result count mismatch");
-            return out;
-        }
-        let mut results: Vec<Vec<R>> = Vec::with_capacity(bounds.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(bounds.len() - 1);
-            for &(start, end) in &bounds[1..] {
-                let f = &f;
-                let chunk = &items[start..end];
-                handles.push(scope.spawn(move || {
-                    let _w = WorkerGuard::enter();
-                    f(start, chunk)
-                }));
-            }
-            let (s0, e0) = bounds[0];
-            results.push({
-                let _w = WorkerGuard::enter();
-                f(s0, &items[s0..e0])
-            });
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-        });
-        let out: Vec<R> = results.into_iter().flatten().collect();
-        assert_eq!(out.len(), items.len(), "map_chunks: result count mismatch");
-        out
-    }
-
     /// Order-preserving parallel map with mutable access:
-    /// `out[i] = f(i, &mut items[i])`. Chunks are disjoint sub-slices, so
-    /// workers never alias.
+    /// `out[i] = f(i, &mut items[i])`.
     pub fn map_mut<T: Send, R: Send>(
         &self,
         items: &mut [T],
         f: impl Fn(usize, &mut T) -> R + Sync,
     ) -> Vec<R> {
-        self.note_use();
-        let bounds = self.chunk_bounds(items.len());
-        if !self.run_threaded(bounds.len()) {
-            return items
-                .iter_mut()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-        }
-        // Carve the slice into disjoint chunks up front.
-        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(bounds.len());
-        let mut rest = items;
-        let mut offset = 0;
-        for &(start, end) in &bounds {
-            let (head, tail) = rest.split_at_mut(end - offset);
-            debug_assert_eq!(offset, start);
-            chunks.push((start, head));
-            rest = tail;
-            offset = end;
-        }
-        let mut results: Vec<Vec<R>> = Vec::with_capacity(bounds.len());
-        std::thread::scope(|scope| {
-            let mut iter = chunks.into_iter();
-            let (s0, chunk0) = iter.next().expect("at least one chunk");
-            let mut handles = Vec::new();
-            for (start, chunk) in iter {
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let _w = WorkerGuard::enter();
-                    chunk
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(k, item)| f(start + k, item))
-                        .collect::<Vec<R>>()
-                }));
-            }
-            results.push({
-                let _w = WorkerGuard::enter();
-                chunk0
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, item)| f(s0 + k, item))
-                    .collect()
-            });
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-        });
-        results.into_iter().flatten().collect()
+        let all: Vec<usize> = (0..items.len()).collect();
+        self.map_subset_mut(items, &all, f)
     }
 
     /// Order-preserving parallel map with mutable access over a *sparse
@@ -362,8 +223,8 @@ impl ParPool {
     /// must be strictly increasing and in bounds (a sampled federated cohort
     /// is drawn sorted). Chunking is over the subset, not the backing slice,
     /// so a 50-client cohort inside a 2000-client fleet still balances
-    /// across workers; each worker gets a disjoint sub-slice covering its
-    /// chunk's index span, so workers never alias.
+    /// across workers; each chunk owns the disjoint sub-slice from its first
+    /// index up to the next chunk's, so workers never alias.
     ///
     /// # Panics
     /// Panics when `indices` is not strictly increasing or indexes out of
@@ -374,7 +235,6 @@ impl ParPool {
         indices: &[usize],
         f: impl Fn(usize, &mut T) -> R + Sync,
     ) -> Vec<R> {
-        self.note_use();
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "map_subset_mut: indices must be strictly increasing"
@@ -386,75 +246,31 @@ impl ParPool {
                 items.len()
             );
         }
+        // Carve back to front: every chunk after the first is non-empty and
+        // starts its span at its own first index; the first starts at 0.
         let bounds = self.chunk_bounds(indices.len());
-        if !self.run_threaded(bounds.len()) {
-            return indices.iter().map(|&i| f(i, &mut items[i])).collect();
-        }
-        // Carve disjoint sub-slices: chunk k owns the backing range
-        // `indices[start]..=indices[end-1]` (disjoint because indices are
-        // strictly increasing across chunk boundaries).
-        let mut chunks: Vec<(usize, &[usize], &mut [T])> = Vec::with_capacity(bounds.len());
+        let mut chunks = Vec::with_capacity(bounds.len());
         let mut rest = items;
-        let mut offset = 0;
-        for &(start, end) in &bounds {
-            let idx = &indices[start..end];
-            let (lo, hi) = (idx[0], idx[end - start - 1]);
-            let (_gap, tail) = rest.split_at_mut(lo - offset);
-            let (span, tail) = tail.split_at_mut(hi - lo + 1);
-            chunks.push((lo, idx, span));
-            rest = tail;
-            offset = hi + 1;
+        for (start, end) in bounds.into_iter().rev() {
+            let lo = if start == 0 { 0 } else { indices[start] };
+            let (head, span) = std::mem::take(&mut rest).split_at_mut(lo);
+            chunks.push((lo, &indices[start..end], span));
+            rest = head;
         }
-        let mut results: Vec<Vec<R>> = Vec::with_capacity(bounds.len());
-        std::thread::scope(|scope| {
-            let mut iter = chunks.into_iter();
-            let (lo0, idx0, span0) = iter.next().expect("at least one chunk");
-            let mut handles = Vec::new();
-            for (lo, idx, span) in iter {
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let _w = WorkerGuard::enter();
-                    idx.iter().map(|&i| f(i, &mut span[i - lo])).collect::<Vec<R>>()
-                }));
-            }
-            results.push({
-                let _w = WorkerGuard::enter();
-                idx0.iter().map(|&i| f(i, &mut span0[i - lo0])).collect()
-            });
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
-
-    /// Order-preserving parallel map with a per-item RNG. Streams are forked
-    /// from `seed` *sequentially on the calling thread* (`base.fork(i)` for
-    /// item `i`), so item `i` consumes the identical stream at any thread
-    /// count — this is what keeps RNG-dependent stages bit-identical between
-    /// `--threads 1` and `--threads 64`.
-    pub fn map_rng<T: Sync, R: Send>(
-        &self,
-        seed: u64,
-        items: &[T],
-        f: impl Fn(usize, &T, &mut Rng) -> R + Sync,
-    ) -> Vec<R> {
-        let mut base = Rng::seed_from_u64(seed);
-        let rngs: Vec<Rng> = (0..items.len()).map(|i| base.fork(i as u64)).collect();
-        self.map_indexed(items, |i, item| {
-            let mut rng = rngs[i].clone();
-            f(i, item, &mut rng)
+        chunks.reverse();
+        self.scatter(chunks, |(lo, idx, span)| {
+            idx.iter().map(|&i| f(i, &mut span[i - lo])).collect()
         })
     }
 
     /// Runs `f` with a two-lane scope: [`PairScope::join2`] executes two
     /// closures concurrently on a persistent companion worker (spawned once
     /// for the whole scope, so per-call dispatch is cheap enough for
-    /// microsecond-scale tasks like one GNN training step). With one thread
-    /// the scope is inline and `join2` runs its closures sequentially.
+    /// microsecond-scale tasks like one GNN training step). With one thread,
+    /// one core, or inside a worker the scope is inline and `join2` runs its
+    /// closures sequentially.
     pub fn scope_pair<R>(&self, f: impl FnOnce(&PairScope) -> R) -> R {
-        self.note_use();
-        let scope = PairScope::new(self.threads > 1 && hardware_width() > 1 && !in_worker());
+        let scope = PairScope::new(self.threads > 1 && Self::available() > 1 && !in_worker());
         let out = f(&scope);
         drop(scope);
         out
@@ -464,6 +280,7 @@ impl ParPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::{self, ThreadId};
 
     fn pools() -> Vec<ParPool> {
         vec![ParPool::new(1), ParPool::new(2), ParPool::new(3), ParPool::new(7)]
@@ -499,18 +316,6 @@ mod tests {
         for pool in pools() {
             let got = pool.map_indexed(&items, |i, &x| x * 3 + i as u64);
             assert_eq!(got, expect, "threads={}", pool.threads());
-        }
-    }
-
-    #[test]
-    fn map_range_and_chunks_agree() {
-        for pool in pools() {
-            let a = pool.map_range(57, |i| i * i);
-            let items: Vec<usize> = (0..57).collect();
-            let b = pool.map_chunks(&items, |start, chunk| {
-                chunk.iter().enumerate().map(|(k, _)| (start + k) * (start + k)).collect()
-            });
-            assert_eq!(a, b);
         }
     }
 
@@ -576,37 +381,21 @@ mod tests {
     }
 
     #[test]
-    fn map_rng_streams_are_thread_count_invariant() {
-        let items = vec![(); 29];
-        let draw = |_: usize, _: &(), rng: &mut Rng| {
-            (0..4).map(|_| rng.next_u64()).collect::<Vec<u64>>()
-        };
-        let baseline = ParPool::new(1).map_rng(99, &items, draw);
-        for pool in pools() {
-            assert_eq!(
-                pool.map_rng(99, &items, draw),
-                baseline,
-                "threads={}",
-                pool.threads()
-            );
-        }
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let pool = ParPool::new(4);
         let out: Vec<u8> = pool.map_indexed(&[] as &[u8], |_, &x| x);
         assert!(out.is_empty());
-        assert!(pool.map_range(0, |i| i).is_empty());
+        assert!(pool.map_mut(&mut [] as &mut [u8], |i, _| i).is_empty());
     }
 
     #[test]
     fn nested_maps_run_inline_and_stay_correct() {
         let pool = ParPool::new(4);
         let outer: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..4).collect();
         let got = pool.map_indexed(&outer, |_, &x| {
             ParPool::new(4)
-                .map_range(4, move |j| x * 10 + j as u64)
+                .map_indexed(&inner, |_, &j| x * 10 + j)
                 .iter()
                 .sum::<u64>()
         });
@@ -615,6 +404,42 @@ mod tests {
             .map(|&x| (0..4).map(|j| x * 10 + j).sum())
             .collect();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn threads_are_used_when_the_machine_has_them() {
+        // With more than one core a width-2 call must put its second chunk
+        // (and `join2`'s `fa`) on another thread; nested calls stay on the
+        // worker that makes them. With one core everything runs inline.
+        let parallel = ParPool::available() > 1;
+        let caller = thread::current().id();
+        let here = || thread::current().id();
+        let pool = ParPool::new(2);
+        let items = [0u8; 2];
+
+        let ids = pool.map_indexed(&items, |_, _| here());
+        assert_eq!(ids[0], caller);
+        assert_eq!(ids[1] != caller, parallel, "map_indexed second chunk");
+
+        let mut slots = [0u8; 2];
+        let ids = pool.map_subset_mut(&mut slots, &[0, 1], |_, _| here());
+        assert_eq!(ids[0], caller);
+        assert_eq!(ids[1] != caller, parallel, "map_subset_mut second chunk");
+
+        let (fa, fb) = pool.scope_pair(|s| s.join2(here, here));
+        assert_eq!(fb, caller);
+        assert_eq!(fa != caller, parallel, "join2 fa");
+
+        let nested: Vec<(ThreadId, Vec<ThreadId>, ThreadId)> = pool.map_indexed(&items, |_, _| {
+            let inner = pool.map_indexed(&items, |_, _| here());
+            let (pair_fa, _) = pool.scope_pair(|s| s.join2(here, here));
+            (here(), inner, pair_fa)
+        });
+        for (worker, inner, pair_fa) in &nested {
+            assert!(inner.iter().all(|t| t == worker), "nested map moved");
+            assert_eq!(pair_fa, worker, "nested join2 moved");
+        }
+        assert_eq!(nested[1].0 != caller, parallel);
     }
 
     #[test]

@@ -56,27 +56,17 @@ impl Slot {
     }
 }
 
-/// Spin iterations before a waiter parks / the worker sleeps. Tasks are
-/// microsecond-scale, so a short spin almost always wins the race.
+/// Spin iterations before a waiter yields / the worker parks. Tasks are
+/// microsecond-scale, so a short spin almost always wins the race. A scope
+/// only gets a companion when the machine has a second core to spin on.
 const SPIN: usize = 1 << 14;
-
-/// Spin budget adjusted for the machine: on a single core, spinning only
-/// burns the timeslice the other thread needs, so park/yield immediately.
-fn spin_budget() -> usize {
-    if crate::single_core() {
-        0
-    } else {
-        SPIN
-    }
-}
 
 fn worker_loop(slot: &Slot) {
     let shutdown = shutdown_sentinel();
-    let budget = spin_budget();
     loop {
         // Acquire the next task: spin, then park.
         let mut task = std::ptr::null_mut();
-        for _ in 0..budget {
+        for _ in 0..SPIN {
             task = slot.task.load(Ordering::Acquire);
             if !task.is_null() {
                 break;
@@ -150,11 +140,6 @@ impl PairScope {
         }
     }
 
-    /// True when a companion worker is attached (two-lane execution).
-    pub fn is_parallel(&self) -> bool {
-        self.slot.is_some()
-    }
-
     /// Runs `fa` and `fb` to completion and returns both results — `fa` on
     /// the companion worker (when attached) while `fb` runs on the calling
     /// thread. Inline scopes run `fa` then `fb` sequentially. Both closures
@@ -197,11 +182,10 @@ impl PairScope {
         let rb = fb();
 
         // Wait for the companion: spin (tasks are µs-scale), then yield.
-        let budget = spin_budget();
         let mut spins = 0usize;
         while !slot.done.load(Ordering::Acquire) {
             spins += 1;
-            if spins < budget {
+            if spins < SPIN {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
@@ -238,7 +222,6 @@ mod tests {
     fn join2_returns_both_results_inline_and_parallel() {
         for parallel in [false, true] {
             let scope = PairScope::new(parallel);
-            assert_eq!(scope.is_parallel(), parallel);
             let (a, b) = scope.join2(|| 6 * 7, || "ok");
             assert_eq!((a, b), (42, "ok"));
         }

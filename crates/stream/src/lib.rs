@@ -53,9 +53,8 @@ pub struct StreamVerdict {
 
 /// A per-event detector. Implementations must be pure functions of the
 /// graph (no RNG, no shared mutable state) — the width-invariance of the
-/// whole pipeline rests on it. `Sync` because detection shards fan out over
-/// the thread pool.
-pub trait Detector: Sync {
+/// whole pipeline rests on it.
+pub trait Detector {
     fn detect(&self, graph: &InteractionGraph) -> StreamVerdict;
 }
 

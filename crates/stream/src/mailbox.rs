@@ -131,9 +131,7 @@ impl<T> Mailbox<T> {
         PushOutcome::Queued
     }
 
-    /// Dequeues the oldest message. The dequeue counter is fired on `reg`,
-    /// which for detection shards is the shard's child registry (absorbed in
-    /// deterministic shard order each tick).
+    /// Dequeues the oldest message. Fires the dequeue counter on `reg`.
     pub fn pop(&mut self, reg: &Arc<Registry>) -> Option<T> {
         let msg = self.queue.pop_front()?;
         self.dequeued += 1;

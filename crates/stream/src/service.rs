@@ -3,8 +3,8 @@
 //!
 //! ```text
 //!   source ──▶ [ingestor] ──mailbox──▶ [maintainer] ──mailboxes──▶ [shard 0..K]
-//!                                       (incremental                (detection,
-//!                                        graph fusion)               fexiot-par)
+//!                                       (incremental                (detection)
+//!                                        graph fusion)
 //! ```
 //!
 //! **Virtual time.** The scheduler is a tick loop; the tick counter *is* the
@@ -24,16 +24,18 @@
 //! Those per-round attributions feed the existing critical-path machinery
 //! (`cause = "backpressure"`, `client` = the dominant shard).
 //!
-//! **Parallelism.** Only the detection stage fans out, over
-//! [`fexiot_par::pool()`]. Each shard drains its own mailbox into its own
-//! child [`Registry`]; the parent absorbs the children in shard order after
-//! every fan-out, so the merged metric stream is width-invariant — the same
-//! discipline the federated trainer uses for its clients.
+//! **One thread.** Every stage runs on the scheduler thread. The detect
+//! stage drains the shards in shard order, each within its own per-tick
+//! budget, and records straight into the run's [`Registry`]. Shards are
+//! mailboxes, not threads: they carry per-home ordering, backpressure and
+//! stall attribution. A per-tick fan-out over the thread pool cost more in
+//! spawns than the few detections of a tick could win back.
 
 use std::sync::Arc;
 
 use fexiot_graph::InteractionGraph;
 use fexiot_obs::{buckets, CriticalPathEntry, FleetTelemetry, Json, Registry};
+use fexiot_tensor::codec::{fnv1a_extend, FNV1A_OFFSET};
 
 use crate::mailbox::{Mailbox, Overflow, PushOutcome};
 use crate::wire::HomeEvent;
@@ -46,7 +48,7 @@ pub const LATENCY_TICK_EDGES: [f64; 10] =
 /// Configuration of the streaming pipeline.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Detection shards fanned out over the process-global pool.
+    /// Detection shards: one mailbox each, drained in shard order.
     pub shards: usize,
     /// Capacity of every mailbox.
     pub mailbox_cap: usize,
@@ -174,18 +176,9 @@ struct DetectJob {
 }
 
 struct Shard {
-    reg: Arc<Registry>,
     mailbox: Mailbox<DetectJob>,
     /// Maintainer stalls attributed to this shard's full mailbox.
     stalls: u64,
-}
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Per-round deltas handed to [`close_round`].
@@ -305,7 +298,6 @@ pub fn run_stream<D: Detector>(
         Mailbox::new("maintain", cfg.mailbox_cap, cfg.overflow);
     let mut shards: Vec<Shard> = (0..cfg.shards)
         .map(|i| Shard {
-            reg: Arc::new(Registry::with_enabled(true)),
             mailbox: Mailbox::new(format!("shard[{i}]"), cfg.mailbox_cap, cfg.overflow),
             stalls: 0,
         })
@@ -318,11 +310,11 @@ pub fn run_stream<D: Detector>(
     let mut route_hold: Option<DetectJob> = None;
     let mut ingest_stalls: u64 = 0;
 
-    // Detection tallies (accumulated from shard results in shard order).
+    // Detection tallies, accumulated in shard order.
     let mut detected: u64 = 0;
     let mut vulnerable: u64 = 0;
     let mut drifting: u64 = 0;
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+    let mut digest: u64 = FNV1A_OFFSET;
 
     // Round bookkeeping: values at the current round's open.
     let mut round = 0usize;
@@ -450,60 +442,38 @@ pub fn run_stream<D: Detector>(
         }
 
         // ── Detect stage ────────────────────────────────────────────────
-        if shards.iter().any(|s| !s.mailbox.is_empty()) {
-            let slow = cfg.slow_shard;
-            let rate = cfg.detect_rate;
-            let results: Vec<Vec<(u64, bool, bool, u64)>> =
-                fexiot_par::pool().map_mut(&mut shards, |i, shard| {
-                    let budget = if slow == Some(i) { 1 } else { rate };
-                    let mut out = Vec::new();
-                    for _ in 0..budget {
-                        let Some(job) = shard.mailbox.pop(&shard.reg) else {
-                            break;
-                        };
-                        let t0 = std::time::Instant::now();
-                        let verdict = detector.detect(&job.graph);
-                        shard.reg.hist_record(
-                            "stream.detect.latency_us",
-                            buckets::TIME_US,
-                            t0.elapsed().as_micros() as f64,
-                        );
-                        shard.reg.hist_record(
-                            "stream.detect.latency_ticks",
-                            &LATENCY_TICK_EDGES,
-                            (tick - job.ingest_tick) as f64,
-                        );
-                        shard.reg.counter_add("stream.detect.events", 1);
-                        if verdict.vulnerable {
-                            shard.reg.counter_add("stream.detect.vulnerable", 1);
-                        }
-                        if verdict.drifting {
-                            shard.reg.counter_add("stream.detect.drifting", 1);
-                        }
-                        out.push((
-                            job.seq,
-                            verdict.vulnerable,
-                            verdict.drifting,
-                            verdict.score.to_bits(),
-                        ));
-                    }
-                    out
-                });
-            // Gather in shard order: metric absorption and the detection
-            // digest see the same sequence at every pool width.
-            for shard in &shards {
-                reg.absorb(&shard.reg.snapshot());
-                shard.reg.reset();
-            }
-            for items in results {
-                for (s, v, d, score_bits) in items {
-                    detected += 1;
-                    vulnerable += u64::from(v);
-                    drifting += u64::from(d);
-                    digest = fnv1a(digest, &s.to_le_bytes());
-                    digest = fnv1a(digest, &[u8::from(v), u8::from(d)]);
-                    digest = fnv1a(digest, &score_bits.to_le_bytes());
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let budget = if cfg.slow_shard == Some(i) { 1 } else { cfg.detect_rate };
+            for _ in 0..budget {
+                let Some(job) = shard.mailbox.pop(reg) else {
+                    break;
+                };
+                let t0 = std::time::Instant::now();
+                let verdict = detector.detect(&job.graph);
+                reg.hist_record(
+                    "stream.detect.latency_us",
+                    buckets::TIME_US,
+                    t0.elapsed().as_micros() as f64,
+                );
+                reg.hist_record(
+                    "stream.detect.latency_ticks",
+                    &LATENCY_TICK_EDGES,
+                    (tick - job.ingest_tick) as f64,
+                );
+                reg.counter_add("stream.detect.events", 1);
+                if verdict.vulnerable {
+                    reg.counter_add("stream.detect.vulnerable", 1);
                 }
+                if verdict.drifting {
+                    reg.counter_add("stream.detect.drifting", 1);
+                }
+                detected += 1;
+                vulnerable += u64::from(verdict.vulnerable);
+                drifting += u64::from(verdict.drifting);
+                let flags = [u8::from(verdict.vulnerable), u8::from(verdict.drifting)];
+                digest = fnv1a_extend(digest, &job.seq.to_le_bytes());
+                digest = fnv1a_extend(digest, &flags);
+                digest = fnv1a_extend(digest, &verdict.score.to_bits().to_le_bytes());
             }
         }
     }

@@ -1,82 +1,26 @@
 //! Width-invariance lock for the streaming pipeline: the same seed must
 //! yield **byte-identical** deterministic obs reports, time-series, SLO
 //! verdicts, critical-path attribution, and detection digests at 1, 2, and
-//! 7 threads. Only the detection stage fans out (over the process-global
-//! pool), and its shards gather in shard order, so this holds by
-//! construction — these tests lock it the way `par_determinism.rs` locks
-//! the batch stages. The global pool width is sequenced inside each test,
-//! which is safe precisely because of the property under test.
+//! 7 threads. The pipeline runs on one thread and drains its shards in
+//! shard order, so this holds by construction — these tests lock it the way
+//! `par_determinism.rs` locks the batch stages. The global pool width is
+//! sequenced inside each test, which is safe precisely because of the
+//! property under test.
+
+mod common;
 
 use std::sync::Arc;
 
-use fexiot_obs::{deterministic_json, FleetTelemetry, Registry, SampleSpec, SloEngine, TimeSeriesStore};
+use common::{serve_telemetry, RunFingerprint};
+use fexiot_obs::Registry;
 use fexiot_stream::{replay_fleet, run_stream, FleetConfig, RuntimeDetector, StreamConfig};
 use proptest::prelude::*;
 
 const WIDTHS: [usize; 3] = [1, 2, 7];
 
-const STREAM_SLO: &str = r#"
-[[rule]]
-name = "detect-latency-p99"
-metric = "stream.detect.latency_ticks.p99"
-agg = "max"
-op = "<="
-threshold = 8
-
-[[rule]]
-name = "zero-sheds"
-metric = "stream.mailbox.shed"
-agg = "max"
-op = "<="
-threshold = 0
-"#;
-
-/// Everything a run exports that must be byte-identical across widths.
-#[derive(Debug, PartialEq)]
-struct RunFingerprint {
-    report: String,
-    stream_section: String,
-    timeseries: String,
-    slo: String,
-    critical_path: Vec<fexiot_obs::CriticalPathEntry>,
-    digest: u64,
-}
-
-fn serve_telemetry() -> FleetTelemetry {
-    let mut store = TimeSeriesStore::new(256);
-    for spec in [
-        SampleSpec::HistQuantile {
-            name: "stream.detect.latency_ticks".into(),
-            q: 0.99,
-        },
-        SampleSpec::CounterDelta("stream.mailbox.shed".into()),
-        SampleSpec::Gauge("stream.ingest.events_per_round".into()),
-    ] {
-        store.add_spec(spec).expect("stream specs are deterministic");
-    }
-    FleetTelemetry::new(store, Some(SloEngine::parse(STREAM_SLO).expect("rules parse")))
-}
-
 fn run_at_width(fleet: &fexiot_stream::Fleet, cfg: &StreamConfig, width: usize) -> RunFingerprint {
     fexiot_par::set_threads(width);
-    let reg = Arc::new(Registry::with_enabled(true));
-    let mut tel = serve_telemetry();
-    let out = run_stream(
-        &fleet.graphs,
-        &fleet.events,
-        &RuntimeDetector::default(),
-        cfg,
-        &reg,
-        Some(&mut tel),
-    );
-    RunFingerprint {
-        report: deterministic_json(&reg.snapshot(), "width-lock"),
-        stream_section: out.stats.to_json().to_string(),
-        timeseries: tel.store.to_json().to_string(),
-        slo: tel.slo.as_ref().expect("engine attached").to_json().to_string(),
-        critical_path: out.critical_path,
-        digest: out.stats.digest,
-    }
+    common::run(fleet, cfg)
 }
 
 #[test]

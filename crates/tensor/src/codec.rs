@@ -10,16 +10,30 @@ use crate::matrix::Matrix;
 /// Magic header for the fixed-layout matrix frame (`FEXMATF1` era).
 pub const MATRIX_FIXED_MAGIC: u64 = 0xFE_F1_0A_70_4D_A7_01_00;
 
-/// FNV-1a 64 over raw bytes — the store's content-address hash and the
-/// fixed-layout frame's payload checksum share this function so blob keys
-/// and in-frame integrity agree byte for byte.
+/// FNV-1a 64 offset basis: the hash state before any byte.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64 hash from state `hash` (start at
+/// [`FNV1A_OFFSET`]): hashing a message in pieces equals hashing it whole.
+pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    fnv_fold(hash, 0x100_0000_01b3, bytes)
+}
+
+/// The store's content-address hash and the fixed-layout frame's payload
+/// checksum, shared so blob keys and in-frame integrity agree byte for
+/// byte. It is FNV-1a with the prime `0x1000_0000_01b3` in place of FNV's
+/// `0x100_0000_01b3`; stored blobs, model files and the CLI's report
+/// digests were all written with it, so it stays as it is.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_fold(FNV1A_OFFSET, 0x1000_0000_01b3, bytes)
+}
+
+fn fnv_fold(mut hash: u64, prime: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(prime);
     }
-    h
+    hash
 }
 
 /// Errors produced while decoding.
@@ -251,6 +265,19 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
     use crate::rng::Rng;
+
+    #[test]
+    fn fnv1a_extend_is_fnv1a_in_pieces() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a_extend(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_extend(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        let msg = b"fexiot detections digest";
+        let (a, b) = msg.split_at(7);
+        let whole = fnv1a_extend(FNV1A_OFFSET, msg);
+        assert_eq!(fnv1a_extend(fnv1a_extend(FNV1A_OFFSET, a), b), whole);
+        // The store hash keeps its own prime: keys on disk depend on it.
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+    }
 
     #[test]
     fn primitives_roundtrip() {

@@ -6,7 +6,7 @@
 //! Accepts `--threads N` to pin the deterministic parallel execution width
 //! (default: `FEXIOT_THREADS`, else all cores; output is bit-identical at any
 //! width) and the shared observability flags (see `fexiot_obs::cli`):
-//! `--obs-out DIR` writes a `fexiot-obs/v1` run report (span timings +
+//! `--obs-out DIR` writes a `fexiot-obs/v4` run report (span timings +
 //! metrics) under DIR, `--obs-stream FILE` streams `fexiot-obs-events/v1`
 //! JSONL events live to FILE (`--obs-stream-timing exclude` drops wall-clock
 //! fields, making same-seed streams byte-identical), `--obs-flame FILE`
@@ -24,18 +24,15 @@ use fexiot_tensor::Rng;
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     // Consume `--threads N` before the obs flags; the pool must be pinned
-    // before any stage touches it.
-    if let Some(pos) = argv.iter().position(|a| a == "--threads") {
-        let t = argv
-            .get(pos + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t > 0);
-        let Some(t) = t else {
-            eprintln!("--threads expects a positive integer");
-            std::process::exit(2);
-        };
-        fexiot_par::set_threads(t);
-        argv.drain(pos..=pos + 1);
+    // (from it, else FEXIOT_THREADS) before any stage touches it.
+    let threads = argv.iter().position(|a| a == "--threads").map(|pos| {
+        let value = argv.get(pos + 1).cloned().unwrap_or_default();
+        argv.drain(pos..(pos + 2).min(argv.len()));
+        value
+    });
+    if let Err(e) = fexiot::set_threads_from(threads.as_deref()) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
     let obs = match fexiot_obs::ObsCli::from_argv(&argv) {
         Ok(obs) => obs,
