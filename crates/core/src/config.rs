@@ -27,6 +27,12 @@ pub fn set_threads_from(flag: Option<&str>) -> Result<(), String> {
     }
 }
 
+/// Largest `explain_iterations` and `shap_samples` a saved model may carry:
+/// each SHAP value scores `shap_samples` coalitions, so a corrupt count
+/// would make every explanation effectively endless. The paper settings
+/// use 5 and 32; the largest value anywhere in this repository is 256.
+pub const MAX_EXPLAIN_BUDGET: usize = 1 << 16;
+
 /// End-to-end pipeline configuration with a builder API.
 #[derive(Debug, Clone)]
 pub struct FexIotConfig {
@@ -42,11 +48,13 @@ pub struct FexIotConfig {
     pub contrastive: ContrastiveConfig,
     /// MAD drift threshold `T_M` (paper: 3).
     pub drift_threshold: f64,
-    /// Explanation search: MCBS iterations.
+    /// Explanation search: MCBS iterations (at most [`MAX_EXPLAIN_BUDGET`]
+    /// in a saved model).
     pub explain_iterations: usize,
     /// Explanation search: smallest subgraph size `N_min`.
     pub explain_min_nodes: usize,
-    /// Kernel-SHAP samples per reward evaluation.
+    /// Kernel-SHAP samples per reward evaluation (at most
+    /// [`MAX_EXPLAIN_BUDGET`] in a saved model).
     pub shap_samples: usize,
     pub seed: u64,
 }

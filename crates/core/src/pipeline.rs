@@ -3,7 +3,7 @@
 //! drifting samples with the MAD rule, detect vulnerable interactions, and
 //! explain detections with the SHAP-guided beam search.
 
-use crate::config::FexIotConfig;
+use crate::config::{FexIotConfig, MAX_EXPLAIN_BUDGET};
 use fexiot_explain::{explain, fexiot_config, Explanation, GraphScorer};
 use fexiot_gnn::{
     head_features, head_features_all, train_contrastive, Encoder, EncoderKind, Gcn, Gin, Magnn,
@@ -218,23 +218,26 @@ impl FexIot {
 
     /// Restores a pipeline saved by [`FexIot::save_to_bytes`]. Training
     /// hyperparameters are not persisted (the restored model is for
-    /// inference and explanation).
+    /// inference and explanation). The head and the drift detector must
+    /// read the encoder's head features, and the explanation budget must
+    /// be within [`MAX_EXPLAIN_BUDGET`]; anything else is an error, never a
+    /// panic.
     pub fn load_from_bytes(bytes: &[u8]) -> Result<Self, fexiot_tensor::codec::CodecError> {
         use fexiot_tensor::codec::{ByteReader, CodecError};
         let mut r = ByteReader::new(bytes);
         if r.read_u64()? != 0xFE_10_07_F1_7E_00_00_01 {
             return Err(CodecError::BadHeader);
         }
-        let read_blob = |r: &mut ByteReader| -> Result<Vec<u8>, CodecError> {
+        fn read_blob<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], CodecError> {
             let len = r.read_usize()?;
-            (0..len).map(|_| r.read_u8()).collect()
-        };
+            r.read_bytes(len)
+        }
         let enc = read_blob(&mut r)?;
         let head = read_blob(&mut r)?;
         let drift = read_blob(&mut r)?;
-        let encoder = fexiot_gnn::encoder_from_bytes(&enc)?;
-        let head = SgdClassifier::from_bytes(&head)?;
-        let drift = DriftDetector::from_bytes(&drift)?;
+        let encoder = fexiot_gnn::encoder_from_bytes(enc)?;
+        let head = SgdClassifier::from_bytes(head)?;
+        let drift = DriftDetector::from_bytes(drift)?;
         let config = FexIotConfig {
             explain_iterations: r.read_usize()?,
             explain_min_nodes: r.read_usize()?,
@@ -242,6 +245,15 @@ impl FexIot {
             drift_threshold: r.read_f64()?,
             ..FexIotConfig::default()
         };
+        let dim = fexiot_gnn::head_feature_dim(&encoder);
+        if head.weights.len() != dim || drift.dim() != dim {
+            return Err(CodecError::ShapeMismatch);
+        }
+        for budget in [config.explain_iterations, config.shap_samples] {
+            if budget > MAX_EXPLAIN_BUDGET {
+                return Err(CodecError::BadLength(budget as u64));
+            }
+        }
         Ok(Self {
             config,
             scorer: GraphScorer::new(encoder, head),
@@ -319,6 +331,37 @@ mod tests {
         // Corruption is rejected, not panicked on.
         assert!(FexIot::load_from_bytes(&bytes[..bytes.len() / 2]).is_err());
         assert!(FexIot::load_from_bytes(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn inconsistent_checkpoints_are_errors() {
+        use fexiot_tensor::codec::CodecError;
+        let (train, _) = split_dataset(7);
+        let mut cfg = FexIotConfig::default().with_seed(7);
+        cfg.contrastive.epochs = 1;
+        let mut model = FexIot::train(&train, cfg);
+        // A head one weight wider than the encoder's head features.
+        model.scorer.head.weights.push(0.0);
+        let bytes = model.save_to_bytes();
+        model.scorer.head.weights.pop();
+        assert_eq!(
+            FexIot::load_from_bytes(&bytes).err(),
+            Some(CodecError::ShapeMismatch)
+        );
+        // Explanation budgets past the cap.
+        for over in [MAX_EXPLAIN_BUDGET + 1, 1 << 32] {
+            model.config.shap_samples = over;
+            let bytes = model.save_to_bytes();
+            assert_eq!(
+                FexIot::load_from_bytes(&bytes).err(),
+                Some(CodecError::BadLength(over as u64))
+            );
+        }
+        model.config.shap_samples = 32;
+        model.config.explain_iterations = MAX_EXPLAIN_BUDGET + 1;
+        assert!(FexIot::load_from_bytes(&model.save_to_bytes()).is_err());
+        model.config.explain_iterations = MAX_EXPLAIN_BUDGET;
+        assert!(FexIot::load_from_bytes(&model.save_to_bytes()).is_ok());
     }
 
     #[test]

@@ -118,3 +118,35 @@ proptest! {
         }
     }
 }
+
+/// The shared model's checkpoint bytes.
+fn saved_model() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| model().0.save_to_bytes())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // A damaged checkpoint (the input of `explain --model` and of the
+    // store's warm loads) loads as an error, never as a panic or an abort:
+    // every truncation fails, and a model with one byte overwritten — a
+    // quarter of the cases within the leading 96 bytes, where the encoder's
+    // architecture header sits — either fails or can still detect.
+    #[test]
+    fn damaged_checkpoints_load_cleanly(at in 0.0f64..1.0, byte in 0u64..256, mode in 0u64..4) {
+        let (_, ds) = model();
+        let bytes = saved_model();
+        let span = if mode == 1 { 96 } else { bytes.len() };
+        let at = (at * span as f64) as usize;
+        if mode == 0 {
+            prop_assert!(FexIot::load_from_bytes(&bytes[..at]).is_err());
+        } else {
+            let mut damaged = bytes.to_vec();
+            damaged[at] = byte as u8;
+            if let Ok(loaded) = FexIot::load_from_bytes(&damaged) {
+                loaded.detect(&ds.graphs[0]);
+            }
+        }
+    }
+}

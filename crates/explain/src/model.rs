@@ -33,17 +33,14 @@ impl GraphScorer {
 
     /// Positive-class probability with only `present` nodes active: absent
     /// nodes keep their place in the structure but their features are zeroed
-    /// and their edges removed (the SubgraphX masking convention).
+    /// and their edges removed (the SubgraphX masking convention). The empty
+    /// coalition gives the model's baseline response.
     pub fn score_with_nodes(&self, graph: &InteractionGraph, present: &[bool]) -> f64 {
         assert_eq!(
             present.len(),
             graph.node_count(),
             "score_with_nodes: mask length"
         );
-        if !present.iter().any(|&p| p) {
-            // Empty coalition: the model's baseline response.
-            return self.score(&mask_graph(graph, present));
-        }
         self.score(&mask_graph(graph, present))
     }
 
@@ -56,15 +53,29 @@ impl GraphScorer {
 /// Zeroes features of absent nodes and removes their edges.
 pub fn mask_graph(graph: &InteractionGraph, present: &[bool]) -> InteractionGraph {
     let mut masked = graph.clone();
-    for (i, node) in masked.nodes.iter_mut().enumerate() {
-        if !present[i] {
-            for f in &mut node.features {
-                *f = 0.0;
-            }
+    mask_into(&mut masked, graph, present);
+    masked
+}
+
+/// Rewrites `work`, a copy of `graph`, in place into `graph` masked by
+/// `present`: present nodes get `graph`'s features back, absent ones
+/// zeros, and only the edges between present nodes remain, in `graph`'s
+/// order. Rules and the label are left as they are.
+pub(crate) fn mask_into(work: &mut InteractionGraph, graph: &InteractionGraph, present: &[bool]) {
+    assert_eq!(present.len(), graph.node_count(), "mask length");
+    for ((node, source), &keep) in work.nodes.iter_mut().zip(&graph.nodes).zip(present) {
+        if keep {
+            node.features.copy_from_slice(&source.features);
+        } else {
+            node.features.fill(0.0);
         }
     }
-    masked.edges.retain(|&(a, b)| present[a] && present[b]);
-    masked
+    work.edges.clear();
+    let kept = graph
+        .edges
+        .iter()
+        .filter(|&&(a, b)| present[a] && present[b]);
+    work.edges.extend(kept);
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //!   Monte-Carlo Shapley reward.
 //! * **MCTS_GNN**: Monte-Carlo tree search with the raw prediction score.
 
+use crate::coalition::CoalitionScorer;
 use crate::model::GraphScorer;
-use crate::shap::{monte_carlo_shapley, shap_value, ShapConfig};
+use crate::shap::{kernel_shap, mc_shapley, ShapConfig};
 use fexiot_graph::InteractionGraph;
 use fexiot_tensor::rng::Rng;
 use std::collections::HashMap;
@@ -66,7 +67,9 @@ pub struct Explanation {
     pub evaluations: usize,
 }
 
-/// Runs the subgraph search and returns the best explanation found.
+/// Runs the subgraph search and returns the best explanation found. Every
+/// reward scores its coalitions through one [`CoalitionScorer`], so each
+/// distinct coalition runs the model once per explanation.
 ///
 /// # Panics
 /// Panics if the graph is empty.
@@ -76,8 +79,14 @@ pub fn explain(
     config: &SearchConfig,
 ) -> Explanation {
     assert!(graph.node_count() > 0, "explain: empty graph");
+    search(&mut CoalitionScorer::new(scorer, graph), config)
+}
+
+/// [`explain`] on the coalition scorer of the explained graph.
+fn search(coalitions: &mut CoalitionScorer, config: &SearchConfig) -> Explanation {
     let _span = fexiot_obs::span("explain.search");
     let started = std::time::Instant::now();
+    let graph = coalitions.graph();
     let n = graph.node_count();
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut evaluations = 0usize;
@@ -87,17 +96,17 @@ pub fn explain(
         match config.reward {
             RewardKind::KernelShap { samples } => {
                 fexiot_obs::counter_add("explain.search.shap_evals", 1);
-                shap_value(scorer, graph, nodes, &ShapConfig { samples }, rng)
+                kernel_shap(coalitions, nodes, &ShapConfig { samples }, rng)
             }
             RewardKind::MonteCarloShapley { samples } => {
-                monte_carlo_shapley(scorer, graph, nodes, samples, rng)
+                mc_shapley(coalitions, nodes, samples, rng)
             }
             RewardKind::Prediction => {
                 let mut present = vec![false; n];
                 for &i in nodes {
                     present[i] = true;
                 }
-                scorer.score_with_nodes(graph, &present)
+                coalitions.score(&present)
             }
         }
     };
@@ -278,6 +287,27 @@ mod tests {
         let g = ds.graphs.iter().find(|g| g.node_count() == 2).unwrap();
         let e = explain(&scorer, g, &fexiot_config(2, 1, 8));
         assert!(!e.nodes.is_empty());
+    }
+
+    #[test]
+    fn one_forward_per_distinct_coalition() {
+        let (scorer, g) = pick_graph(25);
+        // Coalitions each reward asks for: 16 kernel-SHAP rows plus the full
+        // and empty graph; a with/without pair per Monte-Carlo sample; one
+        // masked prediction.
+        for (cfg, asked_per_reward) in [
+            (fexiot_config(3, 3, 16), 18),
+            (subgraphx_config(3, 3, 16), 32),
+            (mcts_gnn_config(3, 3), 1),
+        ] {
+            let mut coalitions = CoalitionScorer::new(&scorer, &g);
+            let e = search(&mut coalitions, &cfg);
+            // `evaluations` counts rewards, as it did without the cache ...
+            assert_eq!(coalitions.lookups(), e.evaluations * asked_per_reward);
+            // ... while the model runs once per distinct coalition.
+            assert_eq!(coalitions.misses(), coalitions.distinct());
+            assert!(coalitions.misses() < coalitions.lookups());
+        }
     }
 
     #[test]

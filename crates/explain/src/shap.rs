@@ -6,6 +6,7 @@
 //! the efficiency constraint `Σ φ = f(full) - f(empty)` — the same trick the
 //! reference kernel SHAP implementation uses.
 
+use crate::coalition::CoalitionScorer;
 use crate::model::GraphScorer;
 use fexiot_graph::InteractionGraph;
 use fexiot_tensor::linalg::sum_constrained_wls;
@@ -71,12 +72,28 @@ pub fn shap_value(
     config: &ShapConfig,
     rng: &mut Rng,
 ) -> f64 {
+    kernel_shap(
+        &mut CoalitionScorer::new(scorer, graph),
+        subgraph_nodes,
+        config,
+        rng,
+    )
+}
+
+/// [`shap_value`] with coalition scores shared through `coalitions`.
+pub(crate) fn kernel_shap(
+    coalitions: &mut CoalitionScorer,
+    subgraph_nodes: &[usize],
+    config: &ShapConfig,
+    rng: &mut Rng,
+) -> f64 {
+    let graph = coalitions.graph();
     let players = Players::new(graph, subgraph_nodes);
     let m = players.count();
     let n_nodes = graph.node_count();
 
-    let f_full = scorer.score_with_nodes(graph, &vec![true; n_nodes]);
-    let f_empty = scorer.score_with_nodes(graph, &vec![false; n_nodes]);
+    let f_full = coalitions.score(&vec![true; n_nodes]);
+    let f_empty = coalitions.score(&vec![false; n_nodes]);
     let total = f_full - f_empty;
     if m == 1 {
         return total;
@@ -90,45 +107,26 @@ pub fn shap_value(
         .collect();
 
     let k = config.samples.max(m); // enough rows for the regression
-    // Draw every coalition on the calling thread first — the RNG stream is
-    // consumed in exactly the sequential order — then score the rows (pure,
-    // obs-free model evaluations) through the pool. Targets are gathered in
-    // row order, so the regression inputs are bit-identical at any width.
-    let coalitions: Vec<Vec<bool>> = (0..k)
-        .map(|_| {
-            let size = 1 + rng.weighted_index(&size_weights);
-            let chosen = rng.sample_indices(m, size);
-            let mut coalition = vec![false; m];
-            for &c in &chosen {
-                coalition[c] = true;
-            }
-            coalition
-        })
-        .collect();
-    let targets: Vec<f64> = fexiot_par::pool().map_indexed(&coalitions, |_, coalition| {
-        let present = players.mask(coalition, n_nodes);
-        scorer.score_with_nodes(graph, &present) - f_empty
-    });
     let mut design = Matrix::zeros(k, m);
     let mut target = Matrix::zeros(k, 1);
-    let mut weights = Vec::with_capacity(k);
-    for (row, (coalition, t)) in coalitions.iter().zip(&targets).enumerate() {
-        for (p, &inc) in coalition.iter().enumerate() {
-            design[(row, p)] = if inc { 1.0 } else { 0.0 };
+    for row in 0..k {
+        let size = 1 + rng.weighted_index(&size_weights);
+        let mut coalition = vec![false; m];
+        for c in rng.sample_indices(m, size) {
+            coalition[c] = true;
+            design[(row, c)] = 1.0;
         }
-        target[(row, 0)] = *t;
-        weights.push(1.0);
+        target[(row, 0)] = coalitions.score(&players.mask(&coalition, n_nodes)) - f_empty;
     }
 
-    match sum_constrained_wls(&design, &target, &weights, total) {
+    match sum_constrained_wls(&design, &target, &vec![1.0; k], total) {
         Ok(phi) => phi[(0, 0)],
         // Rank-deficient sampling (tiny games): fall back to the marginal
         // contribution of the subgraph against the empty coalition.
         Err(_) => {
             let mut coalition = vec![false; m];
             coalition[0] = true;
-            let present = players.mask(&coalition, n_nodes);
-            scorer.score_with_nodes(graph, &present) - f_empty
+            coalitions.score(&players.mask(&coalition, n_nodes)) - f_empty
         }
     }
 }
@@ -143,34 +141,43 @@ pub fn monte_carlo_shapley(
     samples: usize,
     rng: &mut Rng,
 ) -> f64 {
+    mc_shapley(
+        &mut CoalitionScorer::new(scorer, graph),
+        subgraph_nodes,
+        samples,
+        rng,
+    )
+}
+
+/// [`monte_carlo_shapley`] with coalition scores shared through
+/// `coalitions`.
+pub(crate) fn mc_shapley(
+    coalitions: &mut CoalitionScorer,
+    subgraph_nodes: &[usize],
+    samples: usize,
+    rng: &mut Rng,
+) -> f64 {
+    let graph = coalitions.graph();
     let players = Players::new(graph, subgraph_nodes);
     let m = players.count();
     let n_nodes = graph.node_count();
     if m == 1 {
-        let full = scorer.score_with_nodes(graph, &vec![true; n_nodes]);
-        let empty = scorer.score_with_nodes(graph, &vec![false; n_nodes]);
+        let full = coalitions.score(&vec![true; n_nodes]);
+        let empty = coalitions.score(&vec![false; n_nodes]);
         return full - empty;
     }
-    // Pre-draw every random coalition sequentially, score the marginal
-    // contributions in parallel, and reduce in sample order — the f64
-    // accumulation sequence matches the sequential loop exactly.
-    let coalitions: Vec<Vec<bool>> = (0..samples.max(1))
+    let acc: f64 = (0..samples.max(1))
         .map(|_| {
             let mut coalition = vec![false; m];
             for flag in coalition.iter_mut().skip(1) {
                 *flag = rng.bool(0.5);
             }
-            coalition
+            let without = players.mask(&coalition, n_nodes);
+            coalition[0] = true;
+            let with = players.mask(&coalition, n_nodes);
+            coalitions.score(&with) - coalitions.score(&without)
         })
-        .collect();
-    let marginals: Vec<f64> = fexiot_par::pool().map_indexed(&coalitions, |_, coalition| {
-        let without = players.mask(coalition, n_nodes);
-        let mut with_player = coalition.clone();
-        with_player[0] = true;
-        let with = players.mask(&with_player, n_nodes);
-        scorer.score_with_nodes(graph, &with) - scorer.score_with_nodes(graph, &without)
-    });
-    let acc: f64 = marginals.iter().sum();
+        .sum();
     acc / samples.max(1) as f64
 }
 

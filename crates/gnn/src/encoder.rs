@@ -56,6 +56,15 @@ impl Encoder {
         }
     }
 
+    /// Parameter shapes the architecture declares, in `params` order.
+    pub(crate) fn param_shapes(&self) -> Vec<(usize, usize)> {
+        match self {
+            Encoder::Gcn(e) => e.param_shapes(),
+            Encoder::Gin(e) => e.param_shapes(),
+            Encoder::Magnn(e) => e.param_shapes(),
+        }
+    }
+
     /// Replaces all parameters (federated download).
     ///
     /// # Panics
@@ -80,11 +89,9 @@ impl Encoder {
     }
 
     /// Registers the parameters on a tape (one var per matrix, same order).
-    pub fn register(&self, tape: &mut Tape) -> Vec<Var> {
-        self.params()
-            .iter()
-            .map(|p| tape.param(p.clone()))
-            .collect()
+    /// The tape borrows them: no weight matrix is copied.
+    pub fn register<'p>(&'p self, tape: &mut Tape<'p>) -> Vec<Var> {
+        self.params().iter().map(|p| tape.param(p)).collect()
     }
 
     /// Forward pass with pre-registered parameter vars; returns the `(1, d)`
@@ -142,6 +149,21 @@ mod tests {
             )),
         ] {
             assert_eq!(enc.layer_sizes().iter().sum::<usize>(), enc.params().len());
+        }
+    }
+
+    #[test]
+    fn params_have_the_declared_shapes() {
+        let mut rng = Rng::seed_from_u64(5);
+        let cfg = FeatureConfig::small();
+        let d = cfg.node_dim(fexiot_graph::Platform::Ifttt);
+        for enc in [
+            Encoder::Gcn(Gcn::new(d, &[16, 8], 6, &mut rng)),
+            Encoder::Gin(Gin::new(d, &[16, 8], 6, &mut rng)),
+            Encoder::Magnn(crate::Magnn::for_config(cfg, 12, 6, 4, &mut rng)),
+        ] {
+            let shapes: Vec<(usize, usize)> = enc.params().iter().map(|m| m.shape()).collect();
+            assert_eq!(shapes, enc.param_shapes());
         }
     }
 

@@ -44,6 +44,18 @@ impl Gcn {
         self.output_dim
     }
 
+    /// Parameter shapes the architecture declares, in `params` order.
+    pub(crate) fn param_shapes(&self) -> Vec<(usize, usize)> {
+        let mut shapes = Vec::new();
+        let mut prev = self.input_dim;
+        for &h in &self.hidden {
+            shapes.extend([(prev, h), (1, h)]);
+            prev = h;
+        }
+        shapes.push((prev, self.output_dim));
+        shapes
+    }
+
     /// Each conv layer contributes `[W, b]`; the readout projection is the
     /// final single-matrix "layer".
     pub fn layer_sizes(&self) -> Vec<usize> {

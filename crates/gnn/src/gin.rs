@@ -44,6 +44,18 @@ impl Gin {
         self.output_dim
     }
 
+    /// Parameter shapes the architecture declares, in `params` order.
+    pub(crate) fn param_shapes(&self) -> Vec<(usize, usize)> {
+        let mut shapes = Vec::new();
+        let mut prev = self.input_dim;
+        for &h in &self.hidden {
+            shapes.extend([(prev, h), (1, h), (h, h), (1, h)]);
+            prev = h;
+        }
+        shapes.push((prev, self.output_dim));
+        shapes
+    }
+
     pub fn layer_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![4; self.hidden.len()];
         sizes.push(1);

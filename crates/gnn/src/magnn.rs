@@ -80,6 +80,17 @@ impl Magnn {
         self.output_dim
     }
 
+    /// Parameter shapes the architecture declares, in `params` order.
+    pub(crate) fn param_shapes(&self) -> Vec<(usize, usize)> {
+        let (h, att) = (self.hidden, self.att_dim);
+        let mut shapes: Vec<(usize, usize)> = self.type_dims.iter().map(|&(_, d)| (d, h)).collect();
+        for _ in 0..METAPATHS {
+            shapes.extend([(h, h), (1, h)]);
+        }
+        shapes.extend([(h, att), (1, att), (att, 1), (h, self.output_dim)]);
+        shapes
+    }
+
     pub fn layer_sizes(&self) -> Vec<usize> {
         vec![self.type_dims.len(), METAPATHS * 2 + 3, 1]
     }

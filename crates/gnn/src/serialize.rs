@@ -60,8 +60,19 @@ pub fn encoder_to_bytes(encoder: &Encoder) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Restores an encoder from [`encoder_to_bytes`] output.
+/// Restores an encoder from [`encoder_to_bytes`] output. The weights must
+/// have the shapes the architecture header declares, so a decoded encoder
+/// can run its forward pass.
 pub fn encoder_from_bytes(bytes: &[u8]) -> Result<Encoder, CodecError> {
+    let encoder = decode(bytes)?;
+    let shapes: Vec<(usize, usize)> = encoder.params().iter().map(|m| m.shape()).collect();
+    if shapes != encoder.param_shapes() {
+        return Err(CodecError::ShapeMismatch);
+    }
+    Ok(encoder)
+}
+
+fn decode(bytes: &[u8]) -> Result<Encoder, CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.read_u64()? != MAGIC {
         return Err(CodecError::BadHeader);
@@ -93,6 +104,10 @@ pub fn encoder_from_bytes(bytes: &[u8]) -> Result<Encoder, CodecError> {
         }
         TAG_MAGNN => {
             let n_types = r.read_usize()?;
+            // Each type takes a tag byte and a dim word.
+            if n_types.saturating_mul(9) > r.remaining() {
+                return Err(CodecError::BadLength(n_types as u64));
+            }
             let mut type_dims = Vec::with_capacity(n_types);
             for _ in 0..n_types {
                 let p = platform_from_tag(r.read_u8()?)?;
@@ -168,6 +183,37 @@ mod tests {
         let enc = Encoder::Gin(Gin::new(d, &[12], 6, &mut rng));
         let back = encoder_from_bytes(&encoder_to_bytes(&enc)).unwrap();
         assert_eq!(enc.embed(&g), back.embed(&g));
+    }
+
+    #[test]
+    fn weights_must_match_the_declared_architecture() {
+        let enc = Encoder::Gin(Gin::new(20, &[16, 8], 6, &mut Rng::seed_from_u64(5)));
+        let bytes = encoder_to_bytes(&enc);
+        // Header: magic, tag, input_dim, n_hidden, hidden[0..2], output_dim.
+        let output_dim_at = 8 + 1 + 8 + 8 + 2 * 8;
+        assert_eq!(bytes[output_dim_at], 6);
+        let mut wider = bytes.clone();
+        wider[output_dim_at] = 7;
+        assert_eq!(
+            encoder_from_bytes(&wider).err(),
+            Some(CodecError::ShapeMismatch)
+        );
+        let mut deeper = bytes;
+        deeper[8 + 1 + 8] = 1; // one hidden layer: the weights are for two
+        assert!(encoder_from_bytes(&deeper).is_err());
+    }
+
+    #[test]
+    fn magnn_type_count_is_bounded_by_the_input() {
+        let mut rng = Rng::seed_from_u64(6);
+        let enc = Encoder::Magnn(Magnn::for_config(FeatureConfig::small(), 8, 4, 4, &mut rng));
+        let mut bytes = encoder_to_bytes(&enc);
+        // n_types follows the magic and the tag; claim 2^32 types.
+        bytes[9..17].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        assert_eq!(
+            encoder_from_bytes(&bytes).err(),
+            Some(CodecError::BadLength(1 << 32))
+        );
     }
 
     #[test]

@@ -170,7 +170,7 @@ pub fn train_contrastive_with(
 
 /// One Siamese branch: a fresh tape with the encoder registered and one
 /// graph forwarded.
-fn branch(encoder: &Encoder, g: &InteractionGraph) -> (Tape, Vec<Var>, Var) {
+fn branch<'e>(encoder: &'e Encoder, g: &InteractionGraph) -> (Tape<'e>, Vec<Var>, Var) {
     let mut tape = Tape::new();
     let vars = encoder.register(&mut tape);
     let z = encoder.forward_with(&mut tape, &vars, g);

@@ -3,6 +3,7 @@
 //! centroid distances, and the `A^k = min_i |d_i - median_i| / MAD_i > T_M`
 //! outlier rule with the paper's empirical threshold `T_M = 3`.
 
+use fexiot_tensor::codec::CodecError;
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::stats::{euclidean, mad, median};
 
@@ -85,6 +86,11 @@ impl DriftDetector {
         best
     }
 
+    /// Width of the latent samples the detector scores.
+    pub fn dim(&self) -> usize {
+        self.centroids.cols()
+    }
+
     /// True if the sample is a potential drifting sample.
     pub fn is_drifting(&self, embedding: &[f64]) -> bool {
         self.score(embedding) > self.threshold
@@ -100,15 +106,21 @@ impl DriftDetector {
         w.into_bytes()
     }
 
-    /// Restores a detector from [`DriftDetector::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, fexiot_tensor::codec::CodecError> {
+    /// Restores a detector from [`DriftDetector::to_bytes`] output. Every
+    /// class needs its centroid, median and MAD.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = fexiot_tensor::codec::ByteReader::new(bytes);
-        Ok(Self {
+        let detector = Self {
             centroids: r.read_matrix()?,
             medians: r.read_f64_vec()?,
             mads: r.read_f64_vec()?,
             threshold: r.read_f64()?,
-        })
+        };
+        let classes = detector.centroids.rows();
+        if detector.medians.len() != classes || detector.mads.len() != classes {
+            return Err(CodecError::ShapeMismatch);
+        }
+        Ok(detector)
     }
 
     /// Flags every row; returns indices of drifting samples.

@@ -1,7 +1,7 @@
 //! `fexiot-par` — the deterministic data-parallel execution layer.
 //!
 //! Every hot stage of the FexIoT pipeline (featurization, batch GNN
-//! inference, federated client steps, SHAP coalition scoring) is a map over
+//! inference, federated client steps) is a map over
 //! independent items whose *outputs* must stay bit-identical no matter how
 //! many cores run it — the repo's golden tests and the obs-diff CI gate lock
 //! `f64` bit patterns, not approximations. That rules out work-stealing

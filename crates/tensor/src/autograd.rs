@@ -7,8 +7,13 @@
 //! The op set is deliberately small — exactly what the GCN/GIN/MAGNN encoders,
 //! the MLP, and the DeepLog LSTM need — and every rule is pinned down by a
 //! finite-difference test in this module.
+//!
+//! Parameters may be owned or borrowed: a tape over `&'p Matrix`
+//! parameters reads a model's weights in place, so a forward pass copies no
+//! weight matrix.
 
 use crate::matrix::Matrix;
+use std::borrow::Cow;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -56,9 +61,21 @@ enum Op {
     },
 }
 
-struct Node {
+struct Node<'p> {
     op: Op,
-    value: Matrix,
+    value: Cow<'p, Matrix>,
+}
+
+impl From<Matrix> for Cow<'_, Matrix> {
+    fn from(m: Matrix) -> Self {
+        Cow::Owned(m)
+    }
+}
+
+impl<'p> From<&'p Matrix> for Cow<'p, Matrix> {
+    fn from(m: &'p Matrix) -> Self {
+        Cow::Borrowed(m)
+    }
 }
 
 /// Gradients produced by [`Tape::backward`].
@@ -82,13 +99,14 @@ impl Grads {
     }
 }
 
-/// Records a forward computation for later differentiation.
+/// Records a forward computation for later differentiation. `'p` is the
+/// lifetime of borrowed parameters (see [`Tape::param`]).
 #[derive(Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'p> {
+    nodes: Vec<Node<'p>>,
 }
 
-impl Tape {
+impl<'p> Tape<'p> {
     pub fn new() -> Self {
         Self { nodes: Vec::new() }
     }
@@ -107,8 +125,11 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    fn push(&mut self, op: Op, value: Matrix) -> Var {
-        self.nodes.push(Node { op, value });
+    fn push(&mut self, op: Op, value: impl Into<Cow<'p, Matrix>>) -> Var {
+        self.nodes.push(Node {
+            op,
+            value: value.into(),
+        });
         Var(self.nodes.len() - 1)
     }
 
@@ -117,8 +138,9 @@ impl Tape {
         self.push(Op::Const, m)
     }
 
-    /// Registers a trainable parameter (gradient tracked).
-    pub fn param(&mut self, m: Matrix) -> Var {
+    /// Registers a trainable parameter (gradient tracked). A borrowed
+    /// `&'p Matrix` is read in place for the tape's lifetime, not copied.
+    pub fn param(&mut self, m: impl Into<Cow<'p, Matrix>>) -> Var {
         self.push(Op::Param, m)
     }
 

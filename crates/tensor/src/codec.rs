@@ -47,6 +47,9 @@ pub enum CodecError {
     BadLength(u64),
     /// A magic/version header mismatch.
     BadHeader,
+    /// Decoded parts disagree on a shape (e.g. weights against the
+    /// architecture that declares them).
+    ShapeMismatch,
 }
 
 impl std::fmt::Display for CodecError {
@@ -56,6 +59,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#x}"),
             CodecError::BadLength(n) => write!(f, "implausible length {n}"),
             CodecError::BadHeader => write!(f, "bad magic/version header"),
+            CodecError::ShapeMismatch => write!(f, "shapes disagree with the declared layout"),
         }
     }
 }
@@ -191,6 +195,11 @@ impl<'a> ByteReader<'a> {
     pub fn read_f64(&mut self) -> Result<f64, CodecError> {
         let b = self.take(8)?;
         Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
+    }
+
+    /// The next `n` bytes, borrowed from the input.
+    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        self.take(n)
     }
 
     pub fn read_str(&mut self) -> Result<String, CodecError> {
