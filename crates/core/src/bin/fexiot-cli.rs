@@ -151,6 +151,17 @@ impl Args {
         self.get_num(name).unwrap_or(default)
     }
 
+    /// A count flag that must be at least 1. Zero is a usage error like an
+    /// unparsable number, never clamped: the process exits 2 naming the flag.
+    fn get_positive(&self, name: &str, default: usize) -> usize {
+        let v = self.get_usize(name, default);
+        if v == 0 {
+            eprintln!("--{name} must be at least 1, got 0");
+            std::process::exit(2);
+        }
+        v
+    }
+
     /// A numeric flag's value, `None` when the flag is absent. A value that
     /// does not parse is a usage error, never a silent default: the process
     /// exits 2 naming the flag and the value.
@@ -815,17 +826,47 @@ fn serve(
     telemetry: &mut Option<fexiot_obs::FleetTelemetry>,
     stream_section: &mut Option<fexiot_obs::Json>,
 ) -> ExitCode {
+    let Some(overflow) = fexiot_stream::Overflow::parse(args.get("overflow").unwrap_or("block"))
+    else {
+        eprintln!("--overflow must be 'block' or 'shed'");
+        return usage();
+    };
+    let defaults = fexiot_stream::StreamConfig::default();
+    let cfg = fexiot_stream::StreamConfig {
+        shards: args.get_positive("shards", defaults.shards),
+        mailbox_cap: args.get_positive("mailbox-cap", defaults.mailbox_cap),
+        overflow,
+        ingest_rate: args.get_positive("ingest-rate", defaults.ingest_rate),
+        maintain_rate: args.get_positive("maintain-rate", defaults.maintain_rate),
+        detect_rate: args.get_positive("detect-rate", defaults.detect_rate),
+        round_events: args.get_positive("round-events", defaults.round_events),
+        slow_shard: args.get_num("slow-shard"),
+    };
+    if let Some(i) = cfg.slow_shard.filter(|&i| i >= cfg.shards) {
+        eprintln!(
+            "--slow-shard {i} is out of range: --shards {} has shards 0 to {}",
+            cfg.shards,
+            cfg.shards - 1
+        );
+        return ExitCode::from(2);
+    }
+
     // The (homes, home-size, seed) triple defines both the offline graphs
     // and — in the default --replay mode — the simulated event stream. A
     // wire file from --input pairs with the triple that recorded it.
     let seed = args.get_u64("seed", 42);
     let mut fleet_cfg = fexiot_stream::FleetConfig {
-        homes: args.get_usize("homes", 6).max(1),
-        home_size: args.get_usize("home-size", 6).max(1),
+        homes: args.get_positive("homes", 6),
+        home_size: args.get_positive("home-size", 6),
         seed,
         ..fexiot_stream::FleetConfig::default()
     };
-    fleet_cfg.sim.duration *= args.get_u64("sim-scale", 1).max(1);
+    let sim_scale = args.get_positive("sim-scale", 1) as u64;
+    let Some(duration) = fleet_cfg.sim.duration.checked_mul(sim_scale) else {
+        eprintln!("--sim-scale {sim_scale} overflows the simulated duration");
+        return ExitCode::from(2);
+    };
+    fleet_cfg.sim.duration = duration;
     let fleet = fexiot_stream::replay_fleet(&fleet_cfg);
 
     let wire_events;
@@ -867,23 +908,6 @@ fn serve(
         }
         println!("recorded {} events to {path}", events.len());
     }
-
-    let Some(overflow) = fexiot_stream::Overflow::parse(args.get("overflow").unwrap_or("block"))
-    else {
-        eprintln!("--overflow must be 'block' or 'shed'");
-        return usage();
-    };
-    let defaults = fexiot_stream::StreamConfig::default();
-    let cfg = fexiot_stream::StreamConfig {
-        shards: args.get_usize("shards", defaults.shards).max(1),
-        mailbox_cap: args.get_usize("mailbox-cap", defaults.mailbox_cap).max(1),
-        overflow,
-        ingest_rate: args.get_usize("ingest-rate", defaults.ingest_rate).max(1),
-        maintain_rate: args.get_usize("maintain-rate", defaults.maintain_rate).max(1),
-        detect_rate: args.get_usize("detect-rate", defaults.detect_rate).max(1),
-        round_events: args.get_usize("round-events", defaults.round_events).max(1),
-        slow_shard: args.get_num("slow-shard"),
-    };
 
     // Streaming telemetry specs: p99 virtual-time latency, shed deltas, and
     // per-round throughput — the series slo-stream.toml rules evaluate.

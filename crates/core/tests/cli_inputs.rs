@@ -1,6 +1,7 @@
 //! The CLI's numeric input boundary, driven as a process: a numeric flag or
-//! a `FEXIOT_THREADS` value that does not parse exits 2 with a message that
-//! names it, instead of running with a default.
+//! a `FEXIOT_THREADS` value that does not parse, or a `serve` count that is
+//! zero or out of range, exits 2 with a message that names it, instead of
+//! running with a default or a clamped value.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -62,4 +63,40 @@ fn unparsable_threads_env_exits_2_naming_the_variable() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_rejects_zero_counts_and_a_missing_slow_shard() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--homes", "0"], "--homes"),
+        (&["--home-size", "0"], "--home-size"),
+        (&["--sim-scale", "0"], "--sim-scale"),
+        (&["--shards", "0"], "--shards"),
+        (&["--mailbox-cap", "0"], "--mailbox-cap"),
+        (&["--ingest-rate", "0"], "--ingest-rate"),
+        (&["--maintain-rate", "0"], "--maintain-rate"),
+        (&["--detect-rate", "0"], "--detect-rate"),
+        (&["--round-events", "0"], "--round-events"),
+        (&["--slow-shard", "4"], "--slow-shard"),
+        (&["--shards", "2", "--slow-shard", "2"], "--slow-shard"),
+    ];
+    for (flags, named) in cases {
+        // The first occurrence of a flag wins, so the case goes first.
+        let mut args = vec!["serve"];
+        args.extend_from_slice(flags);
+        args.extend_from_slice(&["--homes", "2", "--home-size", "3"]);
+        let out = cli(&args, Some("1"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}, stderr: {err}");
+        assert!(err.contains(named), "{flags:?}, stderr: {err}");
+        assert!(out.stdout.is_empty(), "{flags:?} must not serve");
+    }
+
+    // The smallest valid values still serve.
+    let ok = "serve --homes 1 --home-size 1 --sim-scale 1 --shards 1 --mailbox-cap 1 \
+              --ingest-rate 1 --maintain-rate 1 --detect-rate 1 --round-events 1 --slow-shard 0";
+    let ok: Vec<&str> = ok.split_whitespace().collect();
+    let out = cli(&ok, Some("1"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
 }

@@ -1,6 +1,7 @@
 //! `fexiot-stream`: the online serving layer — a bounded-mailbox actor
 //! runtime that consumes per-home event streams, maintains interaction
-//! graphs incrementally, and runs vulnerability detection per event.
+//! graphs incrementally, and gives every event a vulnerability verdict,
+//! running the detector once per distinct home state.
 //!
 //! The batch pipeline (featurize → train → detect) answers "is this graph
 //! vulnerable *now*"; the paper's deployment story is a service watching
@@ -17,7 +18,7 @@
 //!   events;
 //! * [`source`] — the seeded corpus-replay fleet;
 //! * [`maintain`] — incremental online-graph fusion (exact parity with
-//!   `fuse_online`);
+//!   `fuse_online`), revisioned and shared copy-on-write;
 //! * [`service`] — the virtual-time scheduler and instrumented pipeline.
 //!
 //! Detection is pluggable through [`Detector`] so the crate stays below
@@ -53,7 +54,10 @@ pub struct StreamVerdict {
 
 /// A per-event detector. Implementations must be pure functions of the
 /// graph (no RNG, no shared mutable state) — the width-invariance of the
-/// whole pipeline rests on it.
+/// whole pipeline rests on it, and so does verdict reuse: the service calls
+/// the detector once per home revision and reuses that verdict for later
+/// events at the same revision, so side effects such as call counts see
+/// one call per revision, not one per event.
 pub trait Detector {
     fn detect(&self, graph: &InteractionGraph) -> StreamVerdict;
 }

@@ -9,6 +9,12 @@
 //! and updates the graph's runtime feature block in place in O(nodes) per
 //! timestamp.
 //!
+//! **Revision.** The maintained graph lives in a shared copy-on-write
+//! snapshot ([`HomeMaintainer::snapshot`]) tagged with a revision
+//! ([`HomeMaintainer::revision`]) that moves exactly when a feature bit
+//! changes. Equal revisions therefore mean bit-identical graphs, which is
+//! what lets the service score each home state once.
+//!
 //! **Parity contract**: after every event has been applied and
 //! [`HomeMaintainer::finalize`] called, the maintained graph is *exactly*
 //! equal (bitwise, per feature) to `fuse_online(offline, full_log)`. This is
@@ -29,6 +35,7 @@
 //! approximation of the batch value over the same prefix.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fexiot_graph::events::CleanEvent;
 use fexiot_graph::online::EXPLAIN_WINDOW;
@@ -49,7 +56,14 @@ struct Pending {
 /// contract with the batch fuser.
 #[derive(Debug, Clone)]
 pub struct HomeMaintainer {
-    online: InteractionGraph,
+    /// The maintained graph, shared with queued detect jobs; a write copies
+    /// it only while such a job still holds the old snapshot.
+    online: Arc<InteractionGraph>,
+    /// Moves exactly when a feature bit of `online` changes. Invariant: the
+    /// maintainer edits nothing but the runtime feature block, and only
+    /// through `refresh_features`; any future edit to edges or rules must
+    /// also bump the revision.
+    revision: u64,
     rules: Vec<Rule>,
     /// Primary device per node (first action device, else trigger device).
     primary: Vec<Option<Device>>,
@@ -98,7 +112,8 @@ impl HomeMaintainer {
             .collect();
         let n = offline.nodes.len();
         let mut m = Self {
-            online: offline.clone(),
+            online: Arc::new(offline.clone()),
+            revision: 0,
             rules,
             primary,
             offline_status,
@@ -123,6 +138,18 @@ impl HomeMaintainer {
         &self.online
     }
 
+    /// The maintained graph as a shared snapshot: later updates copy it
+    /// rather than change what the snapshot's holders see.
+    pub fn snapshot(&self) -> Arc<InteractionGraph> {
+        Arc::clone(&self.online)
+    }
+
+    /// The graph's revision: equal revisions of one maintainer mean a
+    /// bit-identical graph.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
     pub fn events_applied(&self) -> u64 {
         self.events_applied
     }
@@ -136,6 +163,7 @@ impl HomeMaintainer {
         );
         if self.group_time != Some(ev.time) {
             self.flush_group();
+            self.refresh_features();
             self.group_time = Some(ev.time);
         }
         self.group.push(ev);
@@ -154,6 +182,8 @@ impl HomeMaintainer {
         self.refresh_features();
     }
 
+    /// Fuses the buffered group into the resident state; the caller then
+    /// rewrites the runtime feature blocks (O(nodes)) once.
     fn flush_group(&mut self) {
         let Some(t) = self.group_time else { return };
         let group = std::mem::take(&mut self.group);
@@ -244,9 +274,6 @@ impl HomeMaintainer {
                 }
             }
         }
-
-        // 4. Rewrite the runtime feature block of every node: O(nodes).
-        self.refresh_features();
     }
 
     /// Is `rule`'s trigger satisfied by the current last-known state? The
@@ -270,38 +297,60 @@ impl HomeMaintainer {
         }
     }
 
+    /// Recomputes every node's runtime block and writes the blocks whose
+    /// bits changed, bumping the revision if any did. Bitwise comparison
+    /// keeps `-0.0`/`0.0` and NaN payloads exact.
     fn refresh_features(&mut self) {
-        for (i, node) in self.online.nodes.iter_mut().enumerate() {
-            let dims = node.features.len();
+        let mut changed = false;
+        for i in 0..self.online.nodes.len() {
+            let fresh = self.runtime_block(i);
+            let dims = self.online.nodes[i].features.len();
             debug_assert!(dims >= RUNTIME_FEATURE_DIMS);
             let block = dims - RUNTIME_FEATURE_DIMS;
-            let mut event_count = 0u64;
-            let mut status = self.offline_status[i];
-            if let Some(d) = self.primary[i] {
-                if let Some(&(t, active)) = self.latest.get(&d) {
-                    let phase = (t % 86_400) as f64 / 86_400.0 * std::f64::consts::TAU;
-                    status = [
-                        if active { 1.0 } else { -1.0 },
-                        phase.sin(),
-                        phase.cos(),
-                    ];
-                }
-                event_count = self.per_device_count.get(&d).copied().unwrap_or(0);
+            let same = self.online.nodes[i].features[block..]
+                .iter()
+                .zip(&fresh)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            if !same {
+                Arc::make_mut(&mut self.online).nodes[i].features[block..].copy_from_slice(&fresh);
+                changed = true;
             }
-            node.features[block] = status[0];
-            node.features[block + 1] = status[1];
-            node.features[block + 2] = status[2];
-            let (exp, tot) = self.consistency[i];
-            node.features[block + 3] = if tot == 0 { 1.0 } else { exp as f64 / tot as f64 };
-            let (sat, checks) = self.completion[i];
-            node.features[block + 4] = if checks == 0 {
+        }
+        if changed {
+            self.revision += 1;
+        }
+    }
+
+    /// Node `i`'s runtime feature block as the batch fuser would write it.
+    fn runtime_block(&self, i: usize) -> [f64; RUNTIME_FEATURE_DIMS] {
+        let mut event_count = 0u64;
+        let mut status = self.offline_status[i];
+        if let Some(d) = self.primary[i] {
+            if let Some(&(t, active)) = self.latest.get(&d) {
+                let phase = (t % 86_400) as f64 / 86_400.0 * std::f64::consts::TAU;
+                status = [if active { 1.0 } else { -1.0 }, phase.sin(), phase.cos()];
+            }
+            event_count = self.per_device_count.get(&d).copied().unwrap_or(0);
+        }
+        let (exp, tot) = self.consistency[i];
+        let (sat, checks) = self.completion[i];
+        [
+            status[0],
+            status[1],
+            status[2],
+            if tot == 0 {
+                1.0
+            } else {
+                exp as f64 / tot as f64
+            },
+            if checks == 0 {
                 1.0
             } else {
                 sat as f64 / checks as f64
-            };
-            node.features[block + 5] = (1.0 + event_count as f64).ln() / 5.0;
-            node.features[block + 6] = 1.0; // online flag
-        }
+            },
+            (1.0 + event_count as f64).ln() / 5.0,
+            1.0, // online flag
+        ]
     }
 }
 
@@ -370,6 +419,40 @@ mod tests {
             }
             m.finalize();
             assert_graphs_equal(m.graph(), &batch, &format!("seed {seed}"));
+        }
+    }
+
+    fn same_bits(a: &InteractionGraph, b: &InteractionGraph) -> bool {
+        a.nodes.iter().zip(&b.nodes).all(|(na, nb)| {
+            na.features
+                .iter()
+                .zip(&nb.features)
+                .all(|(fa, fb)| fa.to_bits() == fb.to_bits())
+        })
+    }
+
+    #[test]
+    fn revision_moves_exactly_when_the_graph_changes() {
+        for seed in [1u64, 2, 3, 11, 42] {
+            let (offline, log) = home(seed);
+            let mut m = HomeMaintainer::new(&offline);
+            let mut moves = 0;
+            for (i, e) in log.iter().enumerate() {
+                // The snapshot taken before the update must not see it.
+                let (before, revision) = (m.snapshot(), m.revision());
+                m.apply(e.clone());
+                let changed = !same_bits(&before, m.graph());
+                assert_eq!(m.revision() != revision, changed, "seed {seed}, event {i}");
+                moves += usize::from(changed);
+            }
+            let (before, revision) = (m.snapshot(), m.revision());
+            m.finalize();
+            let changed = !same_bits(&before, m.graph());
+            assert_eq!(m.revision() != revision, changed, "seed {seed}, finalize");
+            assert!(
+                moves < log.len(),
+                "seed {seed}: every event moved the graph"
+            );
         }
     }
 

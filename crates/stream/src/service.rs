@@ -30,6 +30,15 @@
 //! mailboxes, not threads: they carry per-home ordering, backpressure and
 //! stall attribution. A per-tick fan-out over the thread pool cost more in
 //! spawns than the few detections of a tick could win back.
+//!
+//! **One detection per home state.** The maintainer hands each detect job
+//! its home's graph as a shared snapshot plus the maintainer's revision,
+//! which moves exactly when a feature bit changes. The detect stage keeps,
+//! per home, the last revision it detected and that verdict; a job at the
+//! same revision reuses the verdict instead of calling the [`Detector`],
+//! which is pure, so the outputs are those of a detection. A reused verdict
+//! is recorded and budgeted like a detection, so virtual time, counters and
+//! digests do not depend on how often the detector runs.
 
 use std::sync::Arc;
 
@@ -39,7 +48,7 @@ use fexiot_tensor::codec::{fnv1a_extend, FNV1A_OFFSET};
 
 use crate::mailbox::{Mailbox, Overflow, PushOutcome};
 use crate::wire::HomeEvent;
-use crate::{Detector, HomeMaintainer};
+use crate::{Detector, HomeMaintainer, StreamVerdict};
 
 /// Virtual-time latency buckets (ticks from ingest to detection).
 pub const LATENCY_TICK_EDGES: [f64; 10] =
@@ -172,7 +181,9 @@ struct DetectJob {
     seq: u64,
     ingest_tick: u64,
     home: usize,
-    graph: InteractionGraph,
+    /// The home's maintainer revision once this job's event was applied.
+    revision: u64,
+    graph: Arc<InteractionGraph>,
 }
 
 struct Shard {
@@ -315,6 +326,10 @@ pub fn run_stream<D: Detector>(
     let mut vulnerable: u64 = 0;
     let mut drifting: u64 = 0;
     let mut digest: u64 = FNV1A_OFFSET;
+    // Per home: the last revision the detector scored, and its verdict.
+    // Compared against detected jobs only, so a shed job never leaves a
+    // stale verdict behind.
+    let mut last_detected: Vec<Option<(u64, StreamVerdict)>> = vec![None; graphs.len()];
 
     // Round bookkeeping: values at the current round's open.
     let mut round = 0usize;
@@ -433,7 +448,8 @@ pub fn run_stream<D: Detector>(
                 seq: mj.seq,
                 ingest_tick: mj.ingest_tick,
                 home,
-                graph: maintainer.graph().clone(),
+                revision: maintainer.revision(),
+                graph: maintainer.snapshot(),
             });
         }
         if let Some(s) = blocked_shard {
@@ -449,7 +465,14 @@ pub fn run_stream<D: Detector>(
                     break;
                 };
                 let t0 = std::time::Instant::now();
-                let verdict = detector.detect(&job.graph);
+                let verdict = match last_detected[job.home] {
+                    Some((revision, verdict)) if revision == job.revision => verdict,
+                    _ => {
+                        let verdict = detector.detect(&job.graph);
+                        last_detected[job.home] = Some((job.revision, verdict));
+                        verdict
+                    }
+                };
                 reg.hist_record(
                     "stream.detect.latency_us",
                     buckets::TIME_US,
