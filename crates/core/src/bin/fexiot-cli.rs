@@ -187,16 +187,18 @@ fn usage() -> ExitCode {
 /// Store-aware dataset builder: warm-loads the featurized graphs from the
 /// artifact store when possible, generates (and caches) them otherwise.
 /// Warm notes go to stderr only — stdout stays byte-identical either way.
+/// Callers read `graphs` with [`Args::get_positive`] before any other work,
+/// so a zero count exits 2 before a model is loaded or trained.
 fn make_dataset(
     args: &Args,
-    default_graphs: usize,
+    graphs: usize,
     hetero: bool,
     store: &mut Option<Store>,
 ) -> GraphDataset {
     let out = warm::load_or_generate_dataset(
         store.as_mut(),
         args.get_u64("seed", 42),
-        args.get_usize("graphs", default_graphs),
+        graphs,
         hetero,
     );
     for note in &out.notes {
@@ -248,7 +250,7 @@ fn resolve_model(
     let encoder =
         warm::parse_encoder(encoder_name).ok_or_else(|| format!("unknown encoder {encoder_name}"))?;
     let train_seed = args.get_u64("train-seed", args.get_u64("seed", 42));
-    let train_graphs = args.get_usize("train-graphs", 300);
+    let train_graphs = args.get_positive("train-graphs", 300);
     if train_if_missing {
         let out = warm::load_or_train_model(Some(store), train_seed, train_graphs, encoder);
         for note in &out.notes {
@@ -372,9 +374,9 @@ fn run(
                 return usage();
             };
             let seed = args.get_u64("seed", 42);
-            let graphs = args.get_usize("graphs", 300);
+            let graphs = args.get_positive("graphs", 300);
             let hetero = encoder == EncoderKind::Magnn;
-            let ds = make_dataset(args, 300, hetero, &mut store);
+            let ds = make_dataset(args, graphs, hetero, &mut store);
             let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
             let (train, test) = ds.train_test_split(0.8, &mut rng);
             println!(
@@ -431,6 +433,7 @@ fn run(
             ExitCode::SUCCESS
         }
         "eval" => {
+            let graphs = args.get_positive("graphs", 120);
             let model = match resolve_model(args, &mut store, true, "gin") {
                 Ok(m) => m,
                 Err(e) => {
@@ -438,7 +441,7 @@ fn run(
                     return ExitCode::FAILURE;
                 }
             };
-            let ds = make_dataset(args, 120, false, &mut store);
+            let ds = make_dataset(args, graphs, false, &mut store);
             // The report is accumulated and digested so warm/cold identity
             // is checkable from the last stdout line alone.
             let mut report = String::new();
@@ -455,6 +458,7 @@ fn run(
             ExitCode::SUCCESS
         }
         "detect" => {
+            let graphs = args.get_positive("graphs", 20);
             let model = match resolve_model(args, &mut store, true, "gin") {
                 Ok(m) => m,
                 Err(e) => {
@@ -462,7 +466,7 @@ fn run(
                     return ExitCode::FAILURE;
                 }
             };
-            let ds = make_dataset(args, 20, false, &mut store);
+            let ds = make_dataset(args, graphs, false, &mut store);
             let mut report = String::new();
             for (i, g) in ds.graphs.iter().enumerate() {
                 let d = model.detect(g);
@@ -487,6 +491,7 @@ fn run(
             ExitCode::SUCCESS
         }
         "explain" => {
+            let graphs = args.get_positive("graphs", 60);
             let model = match resolve_model(args, &mut store, true, "gin") {
                 Ok(m) => m,
                 Err(e) => {
@@ -494,7 +499,7 @@ fn run(
                     return ExitCode::FAILURE;
                 }
             };
-            let ds = make_dataset(args, 60, false, &mut store);
+            let ds = make_dataset(args, graphs, false, &mut store);
             let Some(target) = ds
                 .graphs
                 .iter()
@@ -533,7 +538,7 @@ fn run(
             let seed = args.get_u64("seed", 42);
             let rounds = args.get_usize("rounds", 10);
             let mut config = FederationConfig {
-                n_clients: args.get_usize("clients", 8),
+                n_clients: args.get_positive("clients", 8),
                 alpha: args.get_f64("alpha", 1.0),
                 strategy,
                 rounds,
@@ -601,8 +606,8 @@ fn run(
                     }
                 }
             }
-            let graph_count = args.get_usize("graphs", 240);
-            let ds = make_dataset(args, 240, false, &mut store);
+            let graph_count = args.get_positive("graphs", 240);
+            let ds = make_dataset(args, graph_count, false, &mut store);
             let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
             let (train, test) = ds.train_test_split(0.8, &mut rng);
             println!(

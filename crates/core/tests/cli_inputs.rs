@@ -1,7 +1,8 @@
-//! The CLI's numeric input boundary, driven as a process: a numeric flag or
-//! a `FEXIOT_THREADS` value that does not parse, or a `serve` count that is
-//! zero or out of range, exits 2 with a message that names it, instead of
-//! running with a default or a clamped value.
+//! The CLI's input boundary, driven as a process: a numeric flag or a
+//! `FEXIOT_THREADS` value that does not parse, or a count that is zero or
+//! out of range, exits 2 with a message that names it, instead of running
+//! with a default or a clamped value; a hostile wire file exits 1 with an
+//! error, never a crash.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -99,4 +100,69 @@ fn serve_rejects_zero_counts_and_a_missing_slow_shard() {
     let out = cli(&ok, Some("1"));
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+}
+
+#[test]
+fn zero_dataset_and_client_counts_exit_2_naming_the_flag() {
+    let dir = fresh_dir("zero-counts");
+    let model = dir.join("m.fex");
+    let model = model.to_str().unwrap();
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["train", "--graphs", "0", "--out", model], "--graphs"),
+        (&["eval", "--graphs", "0", "--model", model], "--graphs"),
+        (&["detect", "--graphs", "0", "--model", model], "--graphs"),
+        (&["explain", "--graphs", "0", "--model", model], "--graphs"),
+        (&["federate", "--graphs", "0"], "--graphs"),
+        (&["federate", "--clients", "0"], "--clients"),
+        (
+            &["eval", "--train-graphs", "0", "--store", store],
+            "--train-graphs",
+        ),
+    ];
+    for (args, named) in cases {
+        let out = cli(args, Some("1"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}, stderr: {err}");
+        assert!(err.contains(named), "{args:?}, stderr: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must report on nothing");
+    }
+    assert!(
+        !dir.join("m.fex").exists(),
+        "no model may be trained on zero graphs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_wire_line_is_an_error_not_a_crash() {
+    let dir = fresh_dir("deep-wire");
+    let wire = dir.join("w.jsonl");
+    let wire = wire.to_str().unwrap();
+    let fleet = ["--homes", "2", "--sim-scale", "1", "--seed", "1"];
+    let mut record = vec!["serve", "--record", wire];
+    record.extend_from_slice(&fleet);
+    let out = cli(&record, Some("1"));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let text = std::fs::read_to_string(wire).expect("read the recorded wire");
+    let (header, rest) = text.split_once('\n').expect("a header line");
+    let deep = format!("{header}\n{}\n{rest}", "[".repeat(300_000));
+    std::fs::write(wire, deep).expect("write the deep wire");
+    let mut replay = vec!["serve", "--input", wire];
+    replay.extend_from_slice(&fleet);
+    let out = cli(&replay, Some("1"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        !err.contains("overflowed") && !err.contains("panicked"),
+        "stderr: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

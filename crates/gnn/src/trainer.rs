@@ -221,7 +221,7 @@ fn step(
     let gj = tj.backward(loss);
     let seed_a = gj.get(pa, tape_a.value(za));
     let seed_b = gj.get(pb, tape_b.value(zb));
-    let (grads_b, grads_a) = scope.join2(
+    let (mut grads_b, mut grads_a) = scope.join2(
         || tape_b.backward_seeded(zb, seed_b),
         || tape_a.backward_seeded(za, seed_a),
     );
@@ -231,15 +231,14 @@ fn step(
         .zip(encoder.params())
         .map(|((&va, &vb), p)| {
             // Single-tape accumulation order: slot initialized by the zb
-            // branch, za branch added via axpy.
-            match (grads_b.try_get(vb), grads_a.try_get(va)) {
-                (Some(gb_), Some(ga_)) => {
-                    let mut g = gb_.clone();
-                    g.axpy(1.0, ga_);
+            // branch, za branch added via axpy. Both are moved out, not
+            // cloned.
+            match (grads_b.take(vb), grads_a.take(va)) {
+                (Some(mut g), Some(ga_)) => {
+                    g.axpy(1.0, &ga_);
                     g
                 }
-                (Some(gb_), None) => gb_.clone(),
-                (None, Some(ga_)) => ga_.clone(),
+                (Some(g), None) | (None, Some(g)) => g,
                 (None, None) => Matrix::zeros(p.rows(), p.cols()),
             }
         })

@@ -264,10 +264,12 @@ pub fn generate_from_index(
 /// [`generate_from_index`] on an explicit pool. Sampling decisions (RNG
 /// draws, quota acceptance, the final shuffle) stay sequential on the calling
 /// thread over *structure-only* graphs; node featurization — the dominant
-/// cost, a pure per-graph function consuming no RNG — is deferred to one
-/// parallel fill pass over the accepted graphs. The dataset is bit-identical
-/// to the historic sample-then-featurize loop at any thread count, and
-/// rejected samples no longer pay for embeddings at all.
+/// cost, a pure function of a rule's platform and text consuming no RNG — is
+/// deferred to one [`GraphBuilder::fill_features_batch_with`] pass over the
+/// accepted graphs, which featurizes each distinct rule once across the
+/// pool. The dataset is bit-identical to the historic sample-then-featurize
+/// loop at any thread count, and rejected samples no longer pay for
+/// embeddings at all.
 pub fn generate_from_index_with(
     pool: &fexiot_par::ParPool,
     builder: &GraphBuilder,
@@ -316,7 +318,7 @@ pub fn generate_from_index_with(
     rng.shuffle(&mut graphs);
     // Deferred featurization of the accepted graphs (order-preserving,
     // RNG-free — see the function docs).
-    pool.map_mut(&mut graphs, |_, g| builder.fill_features(g));
+    builder.fill_features_batch_with(pool, &mut graphs);
     fexiot_obs::counter_add("graph.dataset.graphs", graphs.len() as u64);
     GraphDataset::new(graphs)
 }
@@ -505,6 +507,48 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The seeded IFTTT and heterogeneous datasets the pins below cover.
+    fn pinned_datasets() -> [(&'static str, GraphDataset); 2] {
+        let gen = |config: DatasetConfig, seed: u64| {
+            generate_dataset(&config, &mut Rng::seed_from_u64(seed))
+        };
+        [
+            ("small_ifttt", gen(DatasetConfig::small_ifttt(), 42)),
+            ("small_hetero", gen(DatasetConfig::small_hetero(), 43)),
+        ]
+    }
+
+    #[test]
+    fn batch_featurization_equals_per_node_features() {
+        let builder = GraphBuilder::new(FeatureConfig::small());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (name, ds) in pinned_datasets() {
+            for node in ds.graphs.iter().flat_map(|g| &g.nodes) {
+                let alone = builder.node_features(&node.rule);
+                assert_eq!(
+                    bits(&node.features),
+                    bits(&alone),
+                    "{name}: rule {}",
+                    node.rule.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn generated_datasets_are_pinned() {
+        use fexiot_tensor::codec::{fnv1a_extend, FNV1A_OFFSET};
+        // Recorded before the build featurized each distinct rule once.
+        let golden = [0x6F23_5281_4AD5_90F3, 0xDA6E_F816_546D_08DE];
+        for ((name, ds), want) in pinned_datasets().into_iter().zip(golden) {
+            let got = fnv1a_extend(FNV1A_OFFSET, &crate::serialize::dataset_to_bytes(&ds));
+            assert_eq!(
+                got, want,
+                "{name}: dataset bytes drifted (got 0x{got:016X})"
+            );
         }
     }
 

@@ -68,7 +68,11 @@ impl Json {
     /// Parses a JSON document (the whole input must be one value).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -129,6 +133,12 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the limit turns hostile input (a line of
+/// `[`) into a [`ParseError`] instead of a stack overflow. The committed
+/// quickstart report nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -147,6 +157,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -192,8 +204,7 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
@@ -201,6 +212,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// An array or object one level deeper, refused past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = if self.bytes[self.pos] == b'{' {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -362,6 +388,19 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(300_000)).is_err());
     }
 
     #[test]

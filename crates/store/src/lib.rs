@@ -461,6 +461,10 @@ fn parse_manifest(text: &str) -> Result<BTreeMap<String, Entry>, String> {
             .and_then(ArtifactKind::parse)
             .ok_or("entry with bad kind")?;
         let need_u64 = |k: &str| row.get(k).and_then(Json::as_u64).ok_or(format!("entry missing {k}"));
+        let need_u32 = |k: &str| {
+            need_u64(k)
+                .and_then(|v| u32::try_from(v).map_err(|_| format!("entry {k} {v} exceeds u32")))
+        };
         let need_str = |k: &str| {
             row.get(k)
                 .and_then(Json::as_str)
@@ -475,8 +479,8 @@ fn parse_manifest(text: &str) -> Result<BTreeMap<String, Entry>, String> {
                 seed: need_u64("seed")?,
                 scale: need_u64("scale")?,
                 encoder: need_str("encoder")?,
-                word_dim: need_u64("word_dim")? as u32,
-                sentence_dim: need_u64("sentence_dim")? as u32,
+                word_dim: need_u32("word_dim")?,
+                sentence_dim: need_u32("sentence_dim")?,
                 extra: need_str("extra")?,
             },
             round: row.get("round").and_then(Json::as_u64),
@@ -491,6 +495,8 @@ fn parse_manifest(text: &str) -> Result<BTreeMap<String, Entry>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("fexiot-store-unit-{tag}-{}", std::process::id()));
@@ -591,6 +597,67 @@ mod tests {
         assert!(s.recovered.is_some());
         assert!(s.list().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_manifest_recovers_as_empty() {
+        let dir = tmpdir("deep-manifest");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest.json"), "[".repeat(300_000)).unwrap();
+        let s = Store::open(&dir).unwrap();
+        let note = s.recovered.as_deref().expect("a corrupt manifest");
+        assert!(note.contains("nesting too deep"), "{note}");
+        assert!(s.list().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A valid manifest with a plain entry and a round entry.
+    fn valid_manifest() -> &'static str {
+        static TEXT: OnceLock<String> = OnceLock::new();
+        TEXT.get_or_init(|| {
+            let dir = tmpdir("valid-manifest");
+            let mut s = Store::open(&dir).unwrap();
+            let id = Identity::new(7, 120, "gin", 32, 48);
+            s.put(ArtifactKind::Model, &id, b"model").unwrap();
+            s.put_round(&id, 3, b"ck").unwrap();
+            let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            text
+        })
+    }
+
+    #[test]
+    fn oversized_dims_are_an_error_naming_the_field() {
+        assert_eq!(parse_manifest(valid_manifest()).map(|e| e.len()), Ok(2));
+        for (field, value) in [("word_dim", 32), ("sentence_dim", 48)] {
+            let text = valid_manifest().replacen(
+                &format!("\"{field}\":{value}"),
+                &format!("\"{field}\":4294967328"),
+                1,
+            );
+            let err = parse_manifest(&text).expect_err("a dim past u32");
+            assert!(err.contains(field) && err.contains("4294967328"), "{err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        // Arbitrary text, and a valid manifest with one span replaced by
+        // arbitrary JSON-ish bytes, parse to `Ok` or `Err`, never a panic.
+        #[test]
+        fn parse_manifest_never_panics(
+            text in ".{0,80}",
+            at in 0usize..1024,
+            cut in 0usize..24,
+            patch in "[0-9a-z{}\\[\\]\":,. -]{0,8}",
+        ) {
+            let _ = parse_manifest(&text);
+            let valid = valid_manifest();
+            let at = at % (valid.len() + 1);
+            let end = (at + cut).min(valid.len());
+            let _ = parse_manifest(&format!("{}{patch}{}", &valid[..at], &valid[end..]));
+        }
     }
 
     #[test]

@@ -66,9 +66,12 @@ pub fn replay_fleet(cfg: &FleetConfig) -> Fleet {
     let index = CorpusIndex::build(rules);
     let builder = GraphBuilder::new(FeatureConfig::small());
 
-    let graphs: Vec<InteractionGraph> = (0..cfg.homes)
-        .map(|_| builder.sample_graph(&index, cfg.home_size, &mut rng))
+    // Sampling consumes the RNG stream `sample_graph` would; the homes are
+    // then featurized in one batch, each distinct rule once.
+    let mut graphs: Vec<InteractionGraph> = (0..cfg.homes)
+        .map(|_| builder.sample_structure(&index, cfg.home_size, &mut rng))
         .collect();
+    builder.fill_features_batch(&mut graphs);
 
     let mut events = Vec::new();
     for (home, graph) in graphs.iter().enumerate() {

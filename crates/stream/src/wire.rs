@@ -296,6 +296,13 @@ mod tests {
         mark
     }
 
+    #[test]
+    fn deeply_nested_line_is_an_error() {
+        let text = format!("{}\n{}\n", header_line("deep"), "[".repeat(300_000));
+        let err = parse_wire(&text).expect_err("nesting past the limit");
+        assert!(err.contains("nesting too deep"), "{err}");
+    }
+
     /// Offline graphs for the two homes the recipe marks name.
     fn two_homes() -> &'static [fexiot_graph::InteractionGraph] {
         static GRAPHS: OnceLock<Vec<fexiot_graph::InteractionGraph>> = OnceLock::new();
@@ -338,6 +345,7 @@ mod tests {
             state in ".{0,12}",
             tokens in "[a-z=0-9 ]{0,30}",
             line in ".{0,40}",
+            deep in 0usize..300_000,
         ) {
             let mut lines = vec![header_line("prop")];
             let marks = [
@@ -350,6 +358,8 @@ mod tests {
                 lines.push(event_to_line(&rec, false).expect("marks are never suppressed"));
             }
             lines.push(line);
+            // Unclosed nesting far past the parser's depth limit.
+            lines.push("[".repeat(deep));
             for n in 2..=lines.len() {
                 let Ok((_, events)) = parse_wire(&(lines[..n].join("\n") + "\n")) else {
                     continue;

@@ -1,8 +1,14 @@
 //! Reverse-mode automatic differentiation over [`Matrix`] values.
 //!
 //! A [`Tape`] records the forward computation as a flat list of nodes; calling
-//! [`Tape::backward`] walks the list in reverse and accumulates gradients for
-//! every node, which the optimizers then read back for the parameter nodes.
+//! [`Tape::backward`] walks the list in reverse and accumulates gradients,
+//! which the optimizers then read back for the parameter nodes. Gradients are
+//! formed only for nodes that a parameter feeds: a constant, and an op whose
+//! inputs are all constants (a graph's adjacency times its feature matrix),
+//! cannot pass a gradient on to a parameter, so backward skips them and
+//! [`Grads::get`] on one returns zeros. Recording stays free of this
+//! bookkeeping, so forward-only tapes (inference, explanation) pay nothing
+//! for it.
 //!
 //! The op set is deliberately small — exactly what the GCN/GIN/MAGNN encoders,
 //! the MLP, and the DeepLog LSTM need — and every rule is pinned down by a
@@ -61,6 +67,34 @@ enum Op {
     },
 }
 
+impl Op {
+    /// The nodes this op reads.
+    fn inputs(&self) -> [Option<usize>; 2] {
+        match *self {
+            Op::Const | Op::Param => [None, None],
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::MulScalarVar(a, b)
+            | Op::Div(a, b) => [Some(a), Some(b)],
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Exp(a)
+            | Op::MeanRows(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SoftmaxRow(a)
+            | Op::SoftmaxCrossEntropy { logits: a, .. } => [Some(a), None],
+        }
+    }
+}
+
 struct Node<'p> {
     op: Op,
     value: Cow<'p, Matrix>,
@@ -85,7 +119,7 @@ pub struct Grads {
 
 impl Grads {
     /// Gradient of the loss with respect to `var`. Zero matrix if the var did
-    /// not influence the loss.
+    /// not influence the loss, or is not fed by a parameter (a constant).
     pub fn get(&self, var: Var, shape_like: &Matrix) -> Matrix {
         match &self.grads[var.0] {
             Some(g) => g.clone(),
@@ -93,9 +127,16 @@ impl Grads {
         }
     }
 
-    /// Borrowing accessor; `None` means the var did not influence the loss.
+    /// Borrowing accessor; `None` means the var did not influence the loss
+    /// or is not fed by a parameter.
     pub fn try_get(&self, var: Var) -> Option<&Matrix> {
         self.grads[var.0].as_ref()
+    }
+
+    /// Moves the gradient out, leaving `None` behind; `None` under the same
+    /// conditions as [`Grads::try_get`].
+    pub fn take(&mut self, var: Var) -> Option<Matrix> {
+        self.grads[var.0].take()
     }
 }
 
@@ -334,6 +375,12 @@ impl<'p> Tape<'p> {
     /// `backward(loss)` is exactly `backward_seeded(loss, ones(1,1))`, so a
     /// split walk replays the identical f64 operation sequence.
     ///
+    /// One forward pass over the ops up to `node` first marks the nodes a
+    /// parameter feeds; the reverse walk forms gradients for marked nodes
+    /// only. A constant therefore gets no gradient ([`Grads::get`] returns
+    /// zeros), and a parameter's gradient is the same f64 sequence it would
+    /// be with every node differentiated: skipped terms never reach it.
+    ///
     /// # Panics
     /// Panics if `seed`'s shape differs from the node's value.
     pub fn backward_seeded(&self, node: Var, seed: Matrix) -> Grads {
@@ -342,9 +389,14 @@ impl<'p> Tape<'p> {
             seed.shape(),
             "backward_seeded: seed shape must match the node"
         );
+        let fed = self.param_fed(node.0);
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[node.0] = Some(seed);
+        if fed[node.0] {
+            grads[node.0] = Some(seed);
+        }
 
+        // Only marked nodes ever hold a gradient. A one-input op is marked
+        // iff its input is, so only two-input ops test their inputs.
         for idx in (0..=node.0).rev() {
             let g = match grads[idx].take() {
                 Some(g) => g,
@@ -358,39 +410,56 @@ impl<'p> Tape<'p> {
                 }
                 Op::MatMul(a, b) => {
                     let (av, bv) = (&self.nodes[*a].value, &self.nodes[*b].value);
-                    accumulate(&mut grads, *a, g.matmul(&bv.transpose()));
-                    accumulate(&mut grads, *b, av.transpose().matmul(&g));
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, g.matmul_nt(bv));
+                    }
+                    if fed[*b] {
+                        accumulate(&mut grads, *b, av.matmul_tn(&g));
+                    }
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g);
+                    if fed[*a] && fed[*b] {
+                        accumulate(&mut grads, *a, g.clone());
+                        accumulate(&mut grads, *b, g);
+                    } else {
+                        accumulate(&mut grads, if fed[*a] { *a } else { *b }, g);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g.scale(-1.0));
+                    let neg = fed[*b].then(|| g.scale(-1.0));
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, g);
+                    }
+                    if let Some(neg) = neg {
+                        accumulate(&mut grads, *b, neg);
+                    }
                 }
                 Op::Hadamard(a, b) => {
                     let (av, bv) = (&self.nodes[*a].value, &self.nodes[*b].value);
-                    accumulate(&mut grads, *a, g.hadamard(bv));
-                    accumulate(&mut grads, *b, g.hadamard(av));
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, g.hadamard(bv));
+                    }
+                    if fed[*b] {
+                        accumulate(&mut grads, *b, g.hadamard(av));
+                    }
                 }
                 Op::Scale(a, s) => accumulate(&mut grads, *a, g.scale(*s)),
                 Op::AddScalar(a) => accumulate(&mut grads, *a, g),
+                // Activations: `g * f'(x)` in one pass over `g`, the same two
+                // roundings as forming `f'(x)` and then the Hadamard product.
                 Op::Relu(a) => {
-                    let mask = self.nodes[*a]
-                        .value
-                        .map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                    accumulate(&mut grads, *a, g.hadamard(&mask));
+                    let x = &self.nodes[*a].value;
+                    accumulate(
+                        &mut grads,
+                        *a,
+                        scaled_by(g, x, |x| if x > 0.0 { 1.0 } else { 0.0 }),
+                    );
                 }
                 Op::Sigmoid(a) => {
-                    let d = value.map(|s| s * (1.0 - s));
-                    accumulate(&mut grads, *a, g.hadamard(&d));
+                    accumulate(&mut grads, *a, scaled_by(g, value, |s| s * (1.0 - s)));
                 }
-                Op::Tanh(a) => {
-                    let d = value.map(|t| 1.0 - t * t);
-                    accumulate(&mut grads, *a, g.hadamard(&d));
-                }
-                Op::Exp(a) => accumulate(&mut grads, *a, g.hadamard(value)),
+                Op::Tanh(a) => accumulate(&mut grads, *a, scaled_by(g, value, |t| 1.0 - t * t)),
+                Op::Exp(a) => accumulate(&mut grads, *a, scaled_by(g, value, |e| e)),
                 Op::MeanRows(a) => {
                     let n = self.nodes[*a].value.rows();
                     let inv = 1.0 / n.max(1) as f64;
@@ -407,36 +476,50 @@ impl<'p> Tape<'p> {
                     accumulate(&mut grads, *a, Matrix::full(r, c, g[(0, 0)] * inv));
                 }
                 Op::AddRowBroadcast(a, row) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *row, g.sum_rows());
+                    // `a` before `row`, so a var used as both sums in order.
+                    let g_row = fed[*row].then(|| g.sum_rows());
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, g);
+                    }
+                    if let Some(g_row) = g_row {
+                        accumulate(&mut grads, *row, g_row);
+                    }
                 }
                 Op::ConcatCols(a, b) => {
                     let ac = self.nodes[*a].value.cols();
-                    let bc = self.nodes[*b].value.cols();
-                    let mut ga = Matrix::zeros(g.rows(), ac);
-                    let mut gb = Matrix::zeros(g.rows(), bc);
-                    for r in 0..g.rows() {
-                        ga.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
-                        gb.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
+                    let cols = |lo: usize, hi: usize| {
+                        Matrix::from_fn(g.rows(), hi - lo, |r, c| g[(r, lo + c)])
+                    };
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, cols(0, ac));
                     }
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    if fed[*b] {
+                        accumulate(&mut grads, *b, cols(ac, g.cols()));
+                    }
                 }
                 Op::Div(a, b) => {
                     let (av, bv) = (&self.nodes[*a].value, &self.nodes[*b].value);
-                    accumulate(&mut grads, *a, g.zip(bv, |gi, bi| gi / bi));
-                    accumulate(
-                        &mut grads,
-                        *b,
-                        g.zip(av, |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi)),
-                    );
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, g.zip(bv, |gi, bi| gi / bi));
+                    }
+                    if fed[*b] {
+                        accumulate(
+                            &mut grads,
+                            *b,
+                            g.zip(av, |gi, ai| gi * ai).zip(bv, |t, bi| -t / (bi * bi)),
+                        );
+                    }
                 }
                 Op::MulScalarVar(a, s) => {
                     let sv = self.nodes[*s].value[(0, 0)];
                     let av = &self.nodes[*a].value;
-                    accumulate(&mut grads, *a, g.scale(sv));
-                    let gs = g.hadamard(av).sum();
-                    accumulate(&mut grads, *s, Matrix::from_vec(1, 1, vec![gs]));
+                    if fed[*a] {
+                        accumulate(&mut grads, *a, g.scale(sv));
+                    }
+                    if fed[*s] {
+                        let gs = g.hadamard(av).sum();
+                        accumulate(&mut grads, *s, Matrix::from_vec(1, 1, vec![gs]));
+                    }
                 }
                 Op::SoftmaxRow(a) => {
                     // For each row: g_in = s .* (g - (g . s)).
@@ -477,6 +560,30 @@ impl<'p> Tape<'p> {
         }
         Grads { grads }
     }
+
+    /// Marks the nodes up to `last` that a parameter feeds: every param, and
+    /// every op with a marked input. Only a marked node can pass a gradient
+    /// on to a parameter.
+    fn param_fed(&self, last: usize) -> Vec<bool> {
+        let mut fed = Vec::with_capacity(last + 1);
+        for node in &self.nodes[..=last] {
+            let marked = match node.op {
+                Op::Param => true,
+                ref op => op.inputs().into_iter().flatten().any(|i| fed[i]),
+            };
+            fed.push(marked);
+        }
+        fed
+    }
+}
+
+/// `g[i] * f(x[i])` for every entry, written into `g`.
+fn scaled_by(mut g: Matrix, x: &Matrix, f: impl Fn(f64) -> f64) -> Matrix {
+    assert_eq!(g.shape(), x.shape(), "backward: gradient shape mismatch");
+    for (gi, &xi) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
+        *gi *= f(xi);
+    }
+    g
 }
 
 fn accumulate(grads: &mut [Option<Matrix>], idx: usize, g: Matrix) {
@@ -738,6 +845,40 @@ mod tests {
         let grads = tape.backward(loss);
         assert!(grads.try_get(unused).is_none());
         assert_eq!(grads.get(unused, &Matrix::ones(2, 2)).sum(), 0.0);
+    }
+
+    #[test]
+    fn constants_and_constant_fed_nodes_get_no_gradient() {
+        // loss = sum((A X) W): `A X` is fed only by constants.
+        let mut rng = Rng::seed_from_u64(149);
+        let w0 = Matrix::random_normal(3, 2, 0.0, 1.0, &mut rng);
+        let mut tape = Tape::new();
+        let a = tape.constant(Matrix::random_normal(4, 4, 0.0, 1.0, &mut rng));
+        let x = tape.constant(Matrix::random_normal(4, 3, 0.0, 1.0, &mut rng));
+        let ax = tape.matmul(a, x);
+        let w = tape.param(w0.clone());
+        let y = tape.matmul(ax, w);
+        let loss = tape.sum_all(y);
+        let grads = tape.backward(loss);
+        for v in [a, x, ax] {
+            assert!(grads.try_get(v).is_none(), "{v:?} got a gradient");
+        }
+        assert_eq!(grads.get(x, tape.value(x)).sum(), 0.0);
+        // The parameter's gradient is unchanged: (A X)ᵀ · ones.
+        let expected = tape.value(ax).transpose().matmul(&Matrix::ones(4, 2));
+        let g = grads.try_get(w).expect("the param feeds the loss");
+        assert_eq!(g.as_slice(), expected.as_slice());
+        assert_eq!(grads.get(w, &w0).as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn take_moves_the_gradient_out() {
+        let mut tape = Tape::new();
+        let p = tape.param(Matrix::ones(2, 2));
+        let loss = tape.sum_all(p);
+        let mut grads = tape.backward(loss);
+        assert_eq!(grads.take(p).map(|g| g.sum()), Some(4.0));
+        assert!(grads.take(p).is_none());
     }
 
     #[test]

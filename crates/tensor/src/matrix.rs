@@ -242,6 +242,92 @@ impl Matrix {
         out
     }
 
+    /// `self · rhsᵀ` without forming the transpose: bit-identical to
+    /// `self.matmul(&rhs.transpose())`. Each output entry sums its terms from
+    /// `0.0` in the same `k` order and skips the same zero entries of `self`.
+    /// Four output columns share one pass over a row of `self`, so four
+    /// independent sums are in flight instead of one latency-bound chain.
+    ///
+    /// # Panics
+    /// Panics if the column counts disagree.
+    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, rhs.cols,
+            "matmul_nt: {}x{} * ({}x{})ᵀ",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let (m, p) = (self.cols, rhs.rows);
+        let mut out = Matrix::zeros(self.rows, p);
+        if m == 0 {
+            return out;
+        }
+        for (arow, orow) in self
+            .data
+            .chunks_exact(m)
+            .zip(out.data.chunks_exact_mut(p.max(1)))
+        {
+            let mut quads = orow.chunks_exact_mut(4);
+            let mut brows = rhs.data.chunks_exact(4 * m);
+            for (o, b) in (&mut quads).zip(&mut brows) {
+                let (b0, rest) = b.split_at(m);
+                let (b1, rest) = rest.split_at(m);
+                let (b2, b3) = rest.split_at(m);
+                let mut acc = [0.0f64; 4];
+                for (k, &a) in arow.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    acc[0] += a * b0[k];
+                    acc[1] += a * b1[k];
+                    acc[2] += a * b2[k];
+                    acc[3] += a * b3[k];
+                }
+                o.copy_from_slice(&acc);
+            }
+            let tail = quads.into_remainder();
+            for (o, brow) in tail.iter_mut().zip(brows.remainder().chunks_exact(m)) {
+                for (&a, &b) in arow.iter().zip(brow) {
+                    if a != 0.0 {
+                        *o += a * b;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `selfᵀ · rhs` without forming the transpose: bit-identical to
+    /// `self.transpose().matmul(rhs)`. Walking `k` (a row of both factors) in
+    /// the outer loop gives every output entry its terms in the same `k`
+    /// order, skips the same zero entries of `self`, and keeps the inner
+    /// loop contiguous.
+    ///
+    /// # Panics
+    /// Panics if the row counts disagree.
+    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "matmul_tn: ({}x{})ᵀ * {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let (n, p) = (self.cols, rhs.cols);
+        let mut out = Matrix::zeros(n, p);
+        if n == 0 || p == 0 {
+            return out;
+        }
+        for (arow, rrow) in self.data.chunks_exact(n).zip(rhs.data.chunks_exact(p)) {
+            for (&a, orow) in arow.iter().zip(out.data.chunks_exact_mut(p)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in orow.iter_mut().zip(rrow) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])

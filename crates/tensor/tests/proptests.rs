@@ -193,3 +193,40 @@ proptest! {
         prop_assert!(r.read_matrix_fixed().is_err(), "corrupt payload slipped past the checksum");
     }
 }
+
+// ---- transpose-free products (the autograd MatMul backward) ----
+
+/// [`seeded_matrix`] with explicit `+0.0` entries mixed in, so the kernels'
+/// zero-skip meets zeros next to NaN, ±Inf, −0.0 and subnormals.
+fn seeded_sparse_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = seeded_matrix(rows, cols, seed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5A5A);
+    for v in m.as_mut_slice() {
+        if rng.usize(3) == 0 {
+            *v = 0.0;
+        }
+    }
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `matmul_nt` and `matmul_tn` equal a matmul of the explicit transpose
+    // bit for bit: same per-entry summation order, same zero-skip. Shapes
+    // from 0 to 9 cover empty factors and the four-column blocks' tails.
+    #[test]
+    fn transpose_free_products_match_explicit_transposes(
+        n in 0usize..10,
+        m in 0usize..10,
+        p in 0usize..10,
+        seed in 0u64..10_000,
+    ) {
+        let a = seeded_sparse_matrix(n, m, seed);
+        let b = seeded_sparse_matrix(p, m, seed.wrapping_add(1));
+        prop_assert!(bits_equal(&a.matmul_nt(&b), &a.matmul(&b.transpose())));
+        let c = seeded_sparse_matrix(m, n, seed.wrapping_add(2));
+        let d = seeded_sparse_matrix(m, p, seed.wrapping_add(3));
+        prop_assert!(bits_equal(&c.matmul_tn(&d), &c.transpose().matmul(&d)));
+    }
+}
