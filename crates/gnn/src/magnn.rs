@@ -101,8 +101,9 @@ impl Magnn {
         assert!(n > 0, "magnn: empty graph");
         let t_count = self.type_dims.len();
 
-        // ---- Type-specific projection into the shared hidden space.
-        let mut h: Option<Var> = None;
+        // ---- Type-specific projection into the shared hidden space: each
+        // platform's members are projected together, then placed at their rows.
+        let mut parts = Vec::with_capacity(t_count);
         for (ti, &(platform, d)) in self.type_dims.iter().enumerate() {
             let members: Vec<usize> = (0..n)
                 .filter(|&i| graph.nodes[i].rule.platform == platform)
@@ -111,7 +112,6 @@ impl Magnn {
                 continue;
             }
             let mut x_t = Matrix::zeros(members.len(), d);
-            let mut scatter = Matrix::zeros(n, members.len());
             for (r, &node) in members.iter().enumerate() {
                 let f = &graph.nodes[node].features;
                 assert_eq!(
@@ -123,23 +123,16 @@ impl Magnn {
                     platform
                 );
                 x_t.row_mut(r).copy_from_slice(f);
-                scatter[(node, r)] = 1.0;
             }
             let x_t = tape.constant(x_t);
-            let s_t = tape.constant(scatter);
-            let proj = tape.matmul(x_t, vars[ti]);
-            let placed = tape.matmul(s_t, proj);
-            h = Some(match h {
-                Some(acc) => tape.add(acc, placed),
-                None => placed,
-            });
+            parts.push((tape.matmul(x_t, vars[ti]), members));
         }
-        let h = h.unwrap_or_else(|| {
-            panic!(
-                "magnn: no node matched a registered platform; graph platforms {:?}",
-                graph.platforms()
-            )
-        });
+        assert!(
+            !parts.is_empty(),
+            "magnn: no node matched a registered platform; graph platforms {:?}",
+            graph.platforms()
+        );
+        let h = tape.place_rows(n, parts);
 
         // ---- Metapath aggregation: same-platform and cross-platform edges.
         let adjs = metapath_adjacencies(graph);

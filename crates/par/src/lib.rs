@@ -207,17 +207,6 @@ impl ParPool {
         })
     }
 
-    /// Order-preserving parallel map with mutable access:
-    /// `out[i] = f(i, &mut items[i])`.
-    pub fn map_mut<T: Send, R: Send>(
-        &self,
-        items: &mut [T],
-        f: impl Fn(usize, &mut T) -> R + Sync,
-    ) -> Vec<R> {
-        let all: Vec<usize> = (0..items.len()).collect();
-        self.map_subset_mut(items, &all, f)
-    }
-
     /// Order-preserving parallel map with mutable access over a *sparse
     /// subset*: `out[j] = f(indices[j], &mut items[indices[j]])`. `indices`
     /// must be strictly increasing and in bounds (a sampled federated cohort
@@ -320,11 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn map_mut_mutates_in_place_in_order() {
+    fn map_subset_mut_over_every_index_mutates_in_place_in_order() {
         let expect: Vec<i64> = (0..41).map(|i| i * 10).collect();
+        let all: Vec<usize> = (0..41).collect();
         for pool in pools() {
             let mut items: Vec<i64> = (0..41).collect();
-            let returned = pool.map_mut(&mut items, |i, x| {
+            let returned = pool.map_subset_mut(&mut items, &all, |i, x| {
                 *x *= 10;
                 i
             });
@@ -385,7 +375,9 @@ mod tests {
         let pool = ParPool::new(4);
         let out: Vec<u8> = pool.map_indexed(&[] as &[u8], |_, &x| x);
         assert!(out.is_empty());
-        assert!(pool.map_mut(&mut [] as &mut [u8], |i, _| i).is_empty());
+        assert!(pool
+            .map_subset_mut(&mut [] as &mut [u8], &[], |i, _| i)
+            .is_empty());
     }
 
     #[test]

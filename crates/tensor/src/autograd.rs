@@ -65,13 +65,16 @@ enum Op {
         targets: Vec<usize>,
         class_weights: Vec<f64>,
     },
+    /// `(source, rows)` parts: row `r` of each source is added into row
+    /// `rows[r]` of a zero matrix.
+    PlaceRows(Vec<(usize, Vec<usize>)>),
 }
 
 impl Op {
-    /// The nodes this op reads.
-    fn inputs(&self) -> [Option<usize>; 2] {
-        match *self {
-            Op::Const | Op::Param => [None, None],
+    /// Whether this op reads a node marked in `fed`.
+    fn reads_marked(&self, fed: &[bool]) -> bool {
+        match self {
+            Op::Const | Op::Param => false,
             Op::MatMul(a, b)
             | Op::Add(a, b)
             | Op::Sub(a, b)
@@ -79,7 +82,7 @@ impl Op {
             | Op::AddRowBroadcast(a, b)
             | Op::ConcatCols(a, b)
             | Op::MulScalarVar(a, b)
-            | Op::Div(a, b) => [Some(a), Some(b)],
+            | Op::Div(a, b) => fed[*a] || fed[*b],
             Op::Scale(a, _)
             | Op::AddScalar(a)
             | Op::Relu(a)
@@ -90,7 +93,8 @@ impl Op {
             | Op::SumAll(a)
             | Op::MeanAll(a)
             | Op::SoftmaxRow(a)
-            | Op::SoftmaxCrossEntropy { logits: a, .. } => [Some(a), None],
+            | Op::SoftmaxCrossEntropy { logits: a, .. } => fed[*a],
+            Op::PlaceRows(parts) => parts.iter().any(|(src, _)| fed[*src]),
         }
     }
 }
@@ -347,6 +351,37 @@ impl<'p> Tape<'p> {
         )
     }
 
+    /// Places rows: a `rows × d` matrix of `+0.0` into whose row
+    /// `parts[p].1[r]` row `r` of `parts[p].0` is added, every part `d` wide.
+    /// This is `Σ_p S_p · parts[p].0` for the 0/1 scatter matrices `S_p`,
+    /// entry for entry, without their products: a row placed once holds
+    /// `0.0 + v`. The backward pass gathers the rows of the gradient back to
+    /// each part.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty, the widths differ, a part's row count is
+    /// not its index count, or an index is not below `rows`.
+    pub fn place_rows(&mut self, rows: usize, parts: Vec<(Var, Vec<usize>)>) -> Var {
+        let d = match parts.first() {
+            Some((src, _)) => self.value(*src).cols(),
+            None => panic!("place_rows: no parts"),
+        };
+        let mut out = Matrix::zeros(rows, d);
+        for (src, idx) in &parts {
+            let v = self.value(*src);
+            assert_eq!(v.cols(), d, "place_rows: part widths differ");
+            assert_eq!(v.rows(), idx.len(), "place_rows: part rows != indices");
+            for (r, &dst) in idx.iter().enumerate() {
+                assert!(dst < rows, "place_rows: row {dst} out of {rows}");
+                for (o, &x) in out.row_mut(dst).iter_mut().zip(v.row(r)) {
+                    *o += x;
+                }
+            }
+        }
+        let parts = parts.into_iter().map(|(src, idx)| (src.0, idx)).collect();
+        self.push(Op::PlaceRows(parts), out)
+    }
+
     /// Convenience: squared Frobenius norm of the difference of two vars, as (1,1).
     pub fn sq_distance(&mut self, a: Var, b: Var) -> Var {
         let d = self.sub(a, b);
@@ -396,7 +431,7 @@ impl<'p> Tape<'p> {
         }
 
         // Only marked nodes ever hold a gradient. A one-input op is marked
-        // iff its input is, so only two-input ops test their inputs.
+        // iff its input is, so only ops with several inputs test them.
         for idx in (0..=node.0).rev() {
             let g = match grads[idx].take() {
                 Some(g) => g,
@@ -556,6 +591,18 @@ impl<'p> Tape<'p> {
                     }
                     accumulate(&mut grads, *logits, ga);
                 }
+                Op::PlaceRows(parts) => {
+                    // `0.0 + g`, the value `S_pᵀ · g` gave for a 0/1 `S_p`.
+                    for (src, idx) in parts.iter().filter(|(src, _)| fed[*src]) {
+                        let mut gs = Matrix::zeros(idx.len(), g.cols());
+                        for (r, &dst) in idx.iter().enumerate() {
+                            for (o, &x) in gs.row_mut(r).iter_mut().zip(g.row(dst)) {
+                                *o += x;
+                            }
+                        }
+                        accumulate(&mut grads, *src, gs);
+                    }
+                }
             }
         }
         Grads { grads }
@@ -569,7 +616,7 @@ impl<'p> Tape<'p> {
         for node in &self.nodes[..=last] {
             let marked = match node.op {
                 Op::Param => true,
-                ref op => op.inputs().into_iter().flatten().any(|i| fed[i]),
+                ref op => op.reads_marked(&fed),
             };
             fed.push(marked);
         }
@@ -821,6 +868,67 @@ mod tests {
                 t.sum_all(scaled)
             },
             1e-5,
+        );
+    }
+
+    #[test]
+    fn grad_place_rows() {
+        let mut rng = Rng::seed_from_u64(151);
+        let w = Matrix::random_normal(2, 3, 0.0, 1.0, &mut rng);
+        let other = Matrix::random_normal(3, 3, 0.0, 1.0, &mut rng);
+        let coef = Matrix::random_normal(6, 3, 0.0, 1.0, &mut rng);
+        check_grad(
+            &w,
+            move |t, p| {
+                let o = t.constant(other.clone());
+                // Row 5 receives nothing; row 1 receives a row of each part.
+                let placed = t.place_rows(6, vec![(p, vec![4, 1]), (o, vec![0, 1, 3])]);
+                let c = t.constant(coef.clone());
+                let h = t.hadamard(placed, c);
+                let sq = t.hadamard(h, h);
+                t.sum_all(sq)
+            },
+            1e-5,
+        );
+    }
+
+    #[test]
+    fn place_rows_equals_the_scatter_product() {
+        // Forward and backward hold the bits of the 0/1 scatter products
+        // `S · v` and `Sᵀ · g` the op replaces: a placed entry is `0.0 + v`,
+        // so `-0.0` turns into `+0.0`.
+        let v0 = Matrix::from_rows(&[vec![-0.0, 1.5, -2.0], vec![3.0, -0.0, 0.25]]);
+        let idx = vec![2, 0];
+        let mut scatter = Matrix::zeros(4, 2);
+        for (r, &dst) in idx.iter().enumerate() {
+            scatter[(dst, r)] = 1.0;
+        }
+        let mut tape = Tape::new();
+        let v = tape.param(v0.clone());
+        let placed = tape.place_rows(4, vec![(v, idx)]);
+        let expect = Matrix::from_fn(4, 3, |i, j| match i {
+            2 => 0.0 + v0[(0, j)],
+            0 => 0.0 + v0[(1, j)],
+            _ => 0.0,
+        });
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tape.value(placed)), bits(&expect));
+        assert_eq!(bits(tape.value(placed)), bits(&scatter.matmul(&v0)));
+        let g0 = Matrix::from_rows(&[
+            vec![1.0, -0.0, 2.0],
+            vec![4.0, 5.0, 6.0],
+            vec![-0.0, 7.0, -1.0],
+            vec![8.0, 9.0, 10.0],
+        ]);
+        let grads = tape.backward_seeded(placed, g0.clone());
+        let g = grads.try_get(v).expect("the param feeds the placement");
+        assert_eq!(bits(g), bits(&scatter.matmul_tn(&g0)));
+        assert_eq!(
+            bits(g),
+            bits(&Matrix::from_rows(&[
+                vec![0.0, 7.0, -1.0],
+                vec![1.0, 0.0, 2.0]
+            ]))
         );
     }
 

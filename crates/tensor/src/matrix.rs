@@ -7,6 +7,8 @@
 
 use crate::rng::Rng;
 
+mod kernel;
+
 /// A dense `rows x cols` matrix stored in row-major order.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -214,7 +216,10 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs`. Each entry is the IEEE sum, from `+0.0`,
+    /// of its terms in ascending `k`, so a NaN or ±∞ in either factor
+    /// reaches the entries it touches (`0 · ∞` is NaN); the result is the
+    /// same on every CPU (see the `kernel` module).
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
@@ -224,29 +229,11 @@ impl Matrix {
             "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop contiguous for both operands.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        self.product(self.rows, self.cols, 1, rhs)
     }
 
-    /// `self · rhsᵀ` without forming the transpose: bit-identical to
-    /// `self.matmul(&rhs.transpose())`. Each output entry sums its terms from
-    /// `0.0` in the same `k` order and skips the same zero entries of `self`.
-    /// Four output columns share one pass over a row of `self`, so four
-    /// independent sums are in flight instead of one latency-bound chain.
+    /// `self · rhsᵀ`, bit-identical to `self.matmul(&rhs.transpose())`,
+    /// which is how it is computed.
     ///
     /// # Panics
     /// Panics if the column counts disagree.
@@ -256,51 +243,12 @@ impl Matrix {
             "matmul_nt: {}x{} * ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (m, p) = (self.cols, rhs.rows);
-        let mut out = Matrix::zeros(self.rows, p);
-        if m == 0 {
-            return out;
-        }
-        for (arow, orow) in self
-            .data
-            .chunks_exact(m)
-            .zip(out.data.chunks_exact_mut(p.max(1)))
-        {
-            let mut quads = orow.chunks_exact_mut(4);
-            let mut brows = rhs.data.chunks_exact(4 * m);
-            for (o, b) in (&mut quads).zip(&mut brows) {
-                let (b0, rest) = b.split_at(m);
-                let (b1, rest) = rest.split_at(m);
-                let (b2, b3) = rest.split_at(m);
-                let mut acc = [0.0f64; 4];
-                for (k, &a) in arow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    acc[0] += a * b0[k];
-                    acc[1] += a * b1[k];
-                    acc[2] += a * b2[k];
-                    acc[3] += a * b3[k];
-                }
-                o.copy_from_slice(&acc);
-            }
-            let tail = quads.into_remainder();
-            for (o, brow) in tail.iter_mut().zip(brows.remainder().chunks_exact(m)) {
-                for (&a, &b) in arow.iter().zip(brow) {
-                    if a != 0.0 {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-        out
+        self.matmul(&rhs.transpose())
     }
 
-    /// `selfᵀ · rhs` without forming the transpose: bit-identical to
-    /// `self.transpose().matmul(rhs)`. Walking `k` (a row of both factors) in
-    /// the outer loop gives every output entry its terms in the same `k`
-    /// order, skips the same zero entries of `self`, and keeps the inner
-    /// loop contiguous.
+    /// `selfᵀ · rhs` without forming the transpose: the kernel reads `self`
+    /// down its columns, so the result is bit-identical to
+    /// `self.transpose().matmul(rhs)`.
     ///
     /// # Panics
     /// Panics if the row counts disagree.
@@ -310,27 +258,33 @@ impl Matrix {
             "matmul_tn: ({}x{})ᵀ * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (n, p) = (self.cols, rhs.cols);
-        let mut out = Matrix::zeros(n, p);
-        if n == 0 || p == 0 {
-            return out;
-        }
-        for (arow, rrow) in self.data.chunks_exact(n).zip(rhs.data.chunks_exact(p)) {
-            for (&a, orow) in arow.iter().zip(out.data.chunks_exact_mut(p)) {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
-            }
-        }
+        self.product(self.cols, 1, self.cols, rhs)
+    }
+
+    /// `L · rhs`, where `L` has `rows` rows and entry `(i, k)` of `L` is
+    /// `self.data[i * row_stride + k * k_stride]`, on the widest kernel tier.
+    fn product(&self, rows: usize, row_stride: usize, k_stride: usize, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(rows, rhs.cols);
+        let lhs = kernel::Lhs {
+            data: &self.data,
+            row_stride,
+            k_stride,
+        };
+        kernel::Tier::widest().product(lhs, &rhs.data, rhs.cols, &mut out.data);
         out
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        if self.rows > 0 {
+            for (c, orow) in out.data.chunks_exact_mut(self.rows).enumerate() {
+                for (o, row) in orow.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+                    *o = row[c];
+                }
+            }
+        }
+        out
     }
 
     /// Elementwise application of `f`.
@@ -614,10 +568,157 @@ mod tests {
     }
 
     #[test]
+    fn transpose_handles_empty_shapes() {
+        for (r, c) in [(0, 3), (3, 0), (0, 0)] {
+            let t = Matrix::zeros(r, c).transpose();
+            assert_eq!(t.shape(), (c, r));
+            assert!(t.is_empty());
+        }
+        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        assert_eq!(a.transpose().as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+    }
+
+    #[test]
     fn axpy_accumulates() {
         let mut a = Matrix::ones(2, 2);
         let b = Matrix::full(2, 2, 3.0);
         a.axpy(0.5, &b);
         assert_eq!(a.as_slice(), &[2.5, 2.5, 2.5, 2.5]);
+    }
+
+    // ---- the product kernel, tier by tier ----
+
+    use super::kernel::{Lhs, Tier};
+    use proptest::prelude::*;
+
+    /// Seeded entries from the special-value zoo: NaN, ±∞ (unless `finite`),
+    /// −0.0, subnormals, a third zeros (as in relu outputs), and the rest
+    /// spread over ±1e12.
+    fn special_matrix(rows: usize, cols: usize, seed: u64, finite: bool) -> Matrix {
+        let mut rng = Rng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |_, _| match rng.usize(15) {
+            0 if !finite => f64::NAN,
+            1 if !finite => f64::INFINITY,
+            2 if !finite => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => f64::MIN_POSITIVE / 2.0,
+            5..=9 => 0.0,
+            _ => rng.uniform(-1e12, 1e12),
+        })
+    }
+
+    /// `aᵀ·b` (if `transposed`, reading `a` down its columns) or `a·b` on
+    /// one tier.
+    fn on_tier(tier: Tier, a: &Matrix, transposed: bool, b: &Matrix) -> Matrix {
+        let (rows, row_stride, k_stride) = if transposed {
+            (a.cols, 1, a.cols)
+        } else {
+            (a.rows, a.cols, 1)
+        };
+        let mut out = Matrix::zeros(rows, b.cols);
+        let lhs = Lhs {
+            data: &a.data,
+            row_stride,
+            k_stride,
+        };
+        tier.product(lhs, &b.data, b.cols, &mut out.data);
+        out
+    }
+
+    /// The IEEE definition: `acc += a * b` from `+0.0` over ascending `k`.
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows, b.cols, |i, j| {
+            let mut acc = 0.0;
+            for k in 0..a.cols {
+                acc += a[(i, k)] * b[(k, j)];
+            }
+            acc
+        })
+    }
+
+    /// The zero-skipping fold the kernels used before they were IEEE.
+    fn zero_skip(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows, b.cols, |i, j| {
+            let mut acc = 0.0;
+            for k in 0..a.cols {
+                if a[(i, k)] != 0.0 {
+                    acc += a[(i, k)] * b[(k, j)];
+                }
+            }
+            acc
+        })
+    }
+
+    /// Equal bit for bit, except that any NaN equals any NaN.
+    fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+        x.shape() == y.shape()
+            && x.data
+                .iter()
+                .zip(&y.data)
+                .all(|(p, q)| (p.is_nan() && q.is_nan()) || p.to_bits() == q.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Every tier this CPU offers is the IEEE product, `a·b` and `aᵀ·b`
+        // alike. Shapes up to 40 run every block width's tail.
+        #[test]
+        fn every_tier_is_the_ieee_product(
+            n in 0usize..41,
+            m in 0usize..41,
+            p in 0usize..41,
+            seed in 0u64..10_000,
+        ) {
+            let a = special_matrix(n, m, seed, false);
+            let b = special_matrix(m, p, seed.wrapping_add(1), false);
+            let at = a.transpose();
+            let expect = naive(&a, &b);
+            for tier in Tier::offered() {
+                prop_assert!(same_bits(&on_tier(tier, &a, false, &b), &expect), "{tier:?} a·b");
+                prop_assert!(same_bits(&on_tier(tier, &at, true, &b), &expect), "{tier:?} aᵀ·b");
+            }
+        }
+
+        // On finite inputs every tier equals the old zero-skipping fold bit
+        // for bit: a skipped term is ±0, and adding ±0 to a sum that starts
+        // at +0.0 changes nothing. So no golden moved.
+        #[test]
+        fn on_finite_inputs_every_tier_equals_the_zero_skip(
+            n in 0usize..41,
+            m in 0usize..41,
+            p in 0usize..41,
+            seed in 0u64..10_000,
+        ) {
+            let a = special_matrix(n, m, seed, true);
+            let b = special_matrix(m, p, seed.wrapping_add(1), true);
+            let at = a.transpose();
+            let expect = zero_skip(&a, &b);
+            prop_assert!(expect.data.iter().all(|x| !x.is_nan()));
+            for tier in Tier::offered() {
+                prop_assert!(same_bits(&on_tier(tier, &a, false, &b), &expect), "{tier:?} a·b");
+                prop_assert!(same_bits(&on_tier(tier, &at, true, &b), &expect), "{tier:?} aᵀ·b");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_times_infinity_is_nan() {
+        let zero = Matrix::zeros(1, 1);
+        let inf = Matrix::full(1, 1, f64::INFINITY);
+        assert_eq!(
+            zero_skip(&zero, &inf)[(0, 0)],
+            0.0,
+            "the old fold dropped the term"
+        );
+        for tier in Tier::offered() {
+            assert!(
+                on_tier(tier, &zero, false, &inf)[(0, 0)].is_nan(),
+                "{tier:?}"
+            );
+        }
+        assert!(zero.matmul(&inf)[(0, 0)].is_nan());
+        assert!(zero.matmul_nt(&inf)[(0, 0)].is_nan());
+        assert!(zero.matmul_tn(&inf)[(0, 0)].is_nan());
     }
 }
