@@ -4,7 +4,7 @@
 //! linear `SGDClassifier` head.
 
 use crate::encoder::Encoder;
-use fexiot_graph::{GraphDataset, InteractionGraph};
+use fexiot_graph::{runtime_slot as slot, GraphDataset, InteractionGraph};
 use fexiot_par::{PairScope, ParPool};
 use fexiot_tensor::autograd::{Tape, Var};
 use fexiot_tensor::matrix::Matrix;
@@ -296,11 +296,11 @@ pub fn head_features(encoder: &Encoder, graph: &InteractionGraph) -> Vec<f64> {
         }
         let block = d - fexiot_graph::RUNTIME_FEATURE_DIMS;
         // Offline graphs (online flag 0) carry no runtime evidence.
-        if node.features[block + 6] == 0.0 {
+        if node.features[block + slot::ONLINE_FLAG] == 0.0 {
             continue;
         }
-        min_consistency = min_consistency.min(node.features[block + 3]);
-        min_completion = min_completion.min(node.features[block + 4]);
+        min_consistency = min_consistency.min(node.features[block + slot::CONSISTENCY]);
+        min_completion = min_completion.min(node.features[block + slot::COMPLETION]);
     }
     out.push(min_consistency);
     out.push(min_completion);

@@ -3,9 +3,10 @@
 //! Rules from a corpus are chained along ground-truth "action-trigger"
 //! correlations into connected interaction graphs of 2–50 nodes, then labeled
 //! by the structural vulnerability detector. Node features are the
-//! platform-appropriate text embeddings plus a 4-dim runtime block (device
-//! status / time-of-day phase / online flag) that stays zero for offline
-//! graphs and is filled in by the online fusion step.
+//! platform-appropriate text embeddings plus a 7-dim runtime block (device
+//! status, time-of-day phase, trigger consistency and completion, event
+//! rate, online flag) that stays zero for offline graphs and is filled in by
+//! the online fusion step.
 
 use crate::corpus::CorpusGenerator;
 use crate::graph::{GraphLabel, InteractionGraph, RuleNode};
@@ -18,8 +19,26 @@ use std::collections::HashMap;
 
 /// Number of runtime feature dims appended after the text embedding:
 /// `[status, sin(t), cos(t), trigger_consistency, trigger_completion,
-///   event_rate, online_flag]`.
+///   event_rate, online_flag]`; [`runtime_slot`] names each offset.
 pub const RUNTIME_FEATURE_DIMS: usize = 7;
+
+/// Offsets of the runtime block's slots from the block's start
+/// (`features.len() - RUNTIME_FEATURE_DIMS`).
+pub mod runtime_slot {
+    /// Primary device state: 1.0 active, -1.0 inactive.
+    pub const STATUS: usize = 0;
+    /// Time-of-day phase of the primary device's last event.
+    pub const SIN: usize = 1;
+    pub const COS: usize = 2;
+    /// Share of the rule's actuator transitions some rule's trigger explains.
+    pub const CONSISTENCY: usize = 3;
+    /// Share of trigger instants whose commands completed in time.
+    pub const COMPLETION: usize = 4;
+    /// `ln(1 + events of the primary device) / 5`.
+    pub const EVENT_RATE: usize = 5;
+    /// 1.0 once the graph has been fused with a log, else 0.0.
+    pub const ONLINE_FLAG: usize = 6;
+}
 
 /// Embedding dimensionalities used for node features.
 #[derive(Debug, Clone, Copy)]

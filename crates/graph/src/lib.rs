@@ -20,7 +20,7 @@ pub mod rule;
 pub mod serialize;
 pub mod vuln;
 
-pub use builder::{CorpusIndex, FeatureConfig, GraphBuilder, RUNTIME_FEATURE_DIMS};
+pub use builder::{runtime_slot, CorpusIndex, FeatureConfig, GraphBuilder, RUNTIME_FEATURE_DIMS};
 pub use corpus::{CorpusConfig, CorpusGenerator};
 pub use dataset::{generate_dataset, DatasetConfig, GraphDataset};
 pub use device::{Channel, Device, DeviceKind, Location};

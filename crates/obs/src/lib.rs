@@ -38,7 +38,6 @@
 //! (`pipeline`), and `[index]` suffixes for instances (`round[3]`,
 //! `client[0]`).
 
-pub mod alloc;
 pub mod causal;
 pub mod cli;
 pub mod diff;
@@ -52,7 +51,6 @@ pub mod stream;
 pub mod timeseries;
 pub mod trace;
 
-pub use alloc::AllocStats;
 pub use causal::{
     chrome_trace, root_cause, root_cause_to_json, trace_id, validate_root_cause, CausalBuilder,
     CausalEdge, CausalGraph, CausalNode, CauseScore, EdgeKind, Entity, RuleRootCause,

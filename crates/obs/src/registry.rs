@@ -109,10 +109,6 @@ struct SpanRec {
     start: Instant,
     /// Microseconds; `None` while the span is still open.
     elapsed_us: Option<u64>,
-    /// Process-wide allocator stats at span open; `Some` only when the
-    /// `track-alloc` feature is compiled in, so the default build carries no
-    /// per-span allocation data at all.
-    alloc_at_open: Option<crate::alloc::AllocStats>,
 }
 
 /// A fixed-bucket histogram over finite `f64` samples.
@@ -433,45 +429,6 @@ impl Inner {
             });
         }
     }
-
-    /// Attributes the allocator delta over a closing span's window to that
-    /// span's `*_allocs` / `*_bytes` counters and `*_peak_live_bytes` gauge
-    /// (gauge keeps the max across the span's instances). Only reachable
-    /// when the `track-alloc` feature captured stats at span open, so
-    /// default builds never grow these metrics.
-    fn attribute_alloc(
-        &mut self,
-        span_name: &str,
-        open: crate::alloc::AllocStats,
-        now: crate::alloc::AllocStats,
-    ) {
-        self.counter_add_locked(
-            &format!("{span_name}_allocs"),
-            now.allocs.saturating_sub(open.allocs),
-        );
-        self.counter_add_locked(
-            &format!("{span_name}_bytes"),
-            now.bytes.saturating_sub(open.bytes),
-        );
-        // Peak live bytes observed during the window: a new process-wide
-        // peak set while the span ran, else the live level is the best
-        // (lower-bound) estimate available without per-span accounting.
-        let window_peak = if now.peak_live_bytes > open.peak_live_bytes {
-            now.peak_live_bytes
-        } else {
-            open.live_bytes.max(now.live_bytes)
-        };
-        let key = format!("{span_name}_peak_live_bytes");
-        let prev = self.gauges.get(&key).copied().unwrap_or(0.0);
-        let value = (window_peak as f64).max(prev);
-        self.gauges.insert(key, value);
-        if self.events_on() {
-            self.emit(Event::Gauge {
-                name: format!("{span_name}_peak_live_bytes"),
-                value,
-            });
-        }
-    }
 }
 
 /// A thread-safe span/metric registry. The process-global instance lives in
@@ -540,9 +497,6 @@ impl Registry {
             return SpanGuard::noop();
         }
         let start = Instant::now();
-        // Captured before taking the lock so the registry's own bookkeeping
-        // allocations are attributed to the enclosing span, not this one.
-        let alloc_at_open = crate::alloc::is_tracking().then(crate::alloc::stats);
         let mut inner = self.lock();
         if inner.spans.len() >= MAX_SPANS {
             inner.dropped_spans += 1;
@@ -565,7 +519,6 @@ impl Registry {
             parent,
             start,
             elapsed_us: None,
-            alloc_at_open,
         });
         inner.open.entry(tid).or_default().push(idx);
         SpanGuard {
@@ -576,9 +529,6 @@ impl Registry {
     }
 
     fn close_span(&self, idx: usize, epoch: u64) {
-        // Captured before the lock for the same reason as in `span`: the
-        // close-side bookkeeping below belongs to the parent's window.
-        let alloc_now = crate::alloc::is_tracking().then(crate::alloc::stats);
         let mut inner = self.lock();
         if inner.epoch != epoch {
             // Opened before a `reset`: its record is gone, and `idx` may now
@@ -602,10 +552,6 @@ impl Registry {
                 name,
                 elapsed_us,
             });
-        }
-        if let (Some(now), Some(open)) = (alloc_now, inner.spans[idx].alloc_at_open) {
-            let name = inner.spans[idx].name.clone();
-            inner.attribute_alloc(&name, open, now);
         }
     }
 
@@ -913,9 +859,6 @@ fn absorb_span(inner: &mut Inner, node: &SpanNode, parent: Option<usize>) {
         parent,
         start: Instant::now(),
         elapsed_us: Some(node.elapsed_us),
-        // Absorbed spans already closed in their home registry; their
-        // allocations were attributed there.
-        alloc_at_open: None,
     });
     if inner.events_on() {
         inner.emit(Event::SpanOpen {

@@ -17,9 +17,9 @@
 //! * [`wire`] — the `fexiot-obs-events/v1` JSONL wire protocol for home
 //!   events;
 //! * [`source`] — the seeded corpus-replay fleet;
-//! * [`maintain`] — incremental online-graph fusion (exact parity with
-//!   `fuse_online`), revisioned and shared copy-on-write;
-//! * [`service`] — the virtual-time scheduler and instrumented pipeline.
+//! * [`service`] — the virtual-time scheduler and instrumented pipeline,
+//!   which keeps each home's graph current with a [`HomeMaintainer`]
+//!   (`fexiot_graph::online`'s incremental fusion, re-exported here).
 //!
 //! Detection is pluggable through [`Detector`] so the crate stays below
 //! `fexiot-core` in the dependency graph (the CLI adapts the trained
@@ -27,19 +27,19 @@
 //! [`RuntimeDetector`]).
 
 pub mod mailbox;
-pub mod maintain;
 pub mod service;
 pub mod source;
 pub mod wire;
 
+pub use fexiot_graph::online::HomeMaintainer;
 pub use mailbox::{Mailbox, Overflow, PushOutcome};
-pub use maintain::HomeMaintainer;
 pub use service::{
     run_stream, ActorStats, StreamConfig, StreamOutcome, StreamStats, LATENCY_TICK_EDGES,
 };
 pub use source::{replay_fleet, Fleet, FleetConfig};
 pub use wire::{parse_wire, write_wire, HomeEvent};
 
+use fexiot_graph::runtime_slot as slot;
 use fexiot_graph::{detect_vulnerabilities, InteractionGraph, RUNTIME_FEATURE_DIMS};
 
 /// Verdict for one streamed event's graph state.
@@ -89,8 +89,8 @@ impl Detector for RuntimeDetector {
                 continue;
             }
             let block = dims - RUNTIME_FEATURE_DIMS;
-            let consistency = node.features[block + 3];
-            let completion = node.features[block + 4];
+            let consistency = node.features[block + slot::CONSISTENCY];
+            let completion = node.features[block + slot::COMPLETION];
             score = score.max(1.0 - consistency).max(1.0 - completion);
         }
         let structural = !detect_vulnerabilities(graph).is_empty();

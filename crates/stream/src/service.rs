@@ -501,11 +501,7 @@ pub fn run_stream<D: Detector>(
         }
     }
 
-    // End of stream: resolve every open completion window so the maintained
-    // graphs equal the batch fuser's output, then close the final round.
-    for m in &mut maintainers {
-        m.finalize();
-    }
+    // End of stream: close the final round.
     let total_shed = maintain_mb.shed + shards.iter().map(|s| s.mailbox.shed).sum::<u64>();
     let delta = RoundDelta {
         round,
