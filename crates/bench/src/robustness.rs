@@ -177,8 +177,7 @@ pub fn run_fleet(scale: Scale) -> Vec<FleetPoint> {
                     })
                 })
                 .collect();
-            let _cell_span =
-                fexiot_obs::span(&format!("bench.fleet[{n_clients}:{dropout}]"));
+            let _cell_span = fexiot_obs::span(&format!("bench.fleet[{n_clients}:{dropout}]"));
             let mut sim = build_federation_with_data(splits, &config);
             if fexiot_obs::global_enabled() {
                 sim.attach_obs(std::sync::Arc::clone(fexiot_obs::global()));

@@ -103,7 +103,10 @@ mod tests {
     fn from_args_scans_only_the_given_slice() {
         // The tests in this binary run without FEXIOT_FULL set; from_args
         // then depends only on the slice.
-        if std::env::var("FEXIOT_FULL").map(|v| v == "1").unwrap_or(false) {
+        if std::env::var("FEXIOT_FULL")
+            .map(|v| v == "1")
+            .unwrap_or(false)
+        {
             return;
         }
         assert_eq!(Scale::from_args(&tokens(&[])), Scale::Small);

@@ -128,7 +128,11 @@ pub fn load_or_generate_dataset(
     let mut rng = Rng::seed_from_u64(seed);
     let ds = generate_dataset(&cli_dataset_config(graphs, hetero), &mut rng);
     if let Some(store) = store {
-        if let Err(e) = store.put(ArtifactKind::Dataset, &id, &graph_codec::dataset_to_bytes(&ds)) {
+        if let Err(e) = store.put(
+            ArtifactKind::Dataset,
+            &id,
+            &graph_codec::dataset_to_bytes(&ds),
+        ) {
             notes.push(format!("store: cannot cache dataset: {e}"));
         }
     }
@@ -184,7 +188,9 @@ pub fn load_or_train_model(
     notes.extend(ds.notes);
     let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
     let (train, _test) = ds.value.train_test_split(0.8, &mut rng);
-    let cfg = FexIotConfig::default().with_encoder(encoder.clone()).with_seed(seed);
+    let cfg = FexIotConfig::default()
+        .with_encoder(encoder.clone())
+        .with_seed(seed);
     let model = FexIot::train(&train, cfg);
     if let Some(store) = store {
         if let Err(e) = store.put(ArtifactKind::Model, &id, &model.save_to_bytes()) {

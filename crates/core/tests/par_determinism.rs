@@ -91,7 +91,8 @@ fn contrastive_training_is_width_invariant() {
     let probe = ParPool::new(1);
     let fingerprint = |width: usize| -> (u64, Vec<u64>) {
         let mut enc = template.clone();
-        let loss = train_contrastive_with(&ParPool::new(width), &mut enc, &ds.graphs, &labels, &cfg);
+        let loss =
+            train_contrastive_with(&ParPool::new(width), &mut enc, &ds.graphs, &labels, &cfg);
         let bits = embed_all_with(&probe, &enc, &ds.graphs)
             .as_slice()
             .iter()
@@ -189,7 +190,10 @@ fn explanation_is_width_invariant() {
     for width in WIDTHS {
         fexiot_par::set_threads(width);
         let got = model.explain(target);
-        assert_eq!(got.nodes, reference.nodes, "subgraph diverged at width {width}");
+        assert_eq!(
+            got.nodes, reference.nodes,
+            "subgraph diverged at width {width}"
+        );
         assert_eq!(
             got.score.to_bits(),
             reference.score.to_bits(),

@@ -34,12 +34,7 @@ fn store_snapshot(width: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
     fexiot_par::set_threads(width);
     let dir = tmpdir(&format!("{tag}-w{width}"));
     let mut store = Store::open(&dir).unwrap();
-    let model = warm::load_or_train_model(
-        Some(&mut store),
-        11,
-        40,
-        fexiot_gnn::EncoderKind::Gin,
-    );
+    let model = warm::load_or_train_model(Some(&mut store), 11, 40, fexiot_gnn::EncoderKind::Gin);
     assert!(!model.warm, "fresh store must build cold");
     let mut snap = BTreeMap::new();
     for entry in store.list() {
@@ -65,8 +60,7 @@ fn store_keys_and_blob_bytes_are_thread_width_invariant() {
         );
         for (name, bytes) in &baseline {
             assert_eq!(
-                bytes,
-                &snap[name],
+                bytes, &snap[name],
                 "blob bytes for {name} differ between widths 1 and {w}"
             );
         }
@@ -79,14 +73,23 @@ fn identity_keys_are_pure_configuration() {
     // No pool interaction at all: the same inputs give the same key, and
     // every discriminating field lands in it.
     let id = warm::dataset_identity(7, 120, false);
-    assert_eq!(id.key(ArtifactKind::Dataset), warm::dataset_identity(7, 120, false).key(ArtifactKind::Dataset));
+    assert_eq!(
+        id.key(ArtifactKind::Dataset),
+        warm::dataset_identity(7, 120, false).key(ArtifactKind::Dataset)
+    );
     let key = id.key(ArtifactKind::Dataset);
     assert!(key.contains("seed=7") && key.contains("scale=120") && key.contains("ifttt"));
-    assert_ne!(key, warm::dataset_identity(7, 120, true).key(ArtifactKind::Dataset));
+    assert_ne!(
+        key,
+        warm::dataset_identity(7, 120, true).key(ArtifactKind::Dataset)
+    );
     let ck = warm::checkpoint_identity(7, 4, "FexIoT", 240);
     let ck_key = ck.key(ArtifactKind::Checkpoint);
     assert!(ck_key.contains("strategy=FexIoT") && ck_key.contains("graphs=240"));
-    assert!(!ck_key.contains("rounds"), "rounds must not pin the identity");
+    assert!(
+        !ck_key.contains("rounds"),
+        "rounds must not pin the identity"
+    );
 }
 
 #[test]

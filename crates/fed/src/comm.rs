@@ -128,12 +128,16 @@ impl CommStats {
     pub fn delta_since(&self, earlier: &CommStats) -> CommStats {
         CommStats {
             uploaded_bytes: self.uploaded_bytes.saturating_sub(earlier.uploaded_bytes),
-            downloaded_bytes: self.downloaded_bytes.saturating_sub(earlier.downloaded_bytes),
+            downloaded_bytes: self
+                .downloaded_bytes
+                .saturating_sub(earlier.downloaded_bytes),
             upload_messages: self.upload_messages.saturating_sub(earlier.upload_messages),
             download_messages: self
                 .download_messages
                 .saturating_sub(earlier.download_messages),
-            retried_messages: self.retried_messages.saturating_sub(earlier.retried_messages),
+            retried_messages: self
+                .retried_messages
+                .saturating_sub(earlier.retried_messages),
             retried_bytes: self.retried_bytes.saturating_sub(earlier.retried_bytes),
             agg_forward_bytes: self
                 .agg_forward_bytes
@@ -153,7 +157,9 @@ impl CommStats {
     /// Total bytes moved anywhere in the tree: client links plus the
     /// aggregator→server trunk (zero on flat topologies).
     pub fn total_bytes(&self) -> usize {
-        self.uploaded_bytes + self.downloaded_bytes + self.agg_forward_bytes
+        self.uploaded_bytes
+            + self.downloaded_bytes
+            + self.agg_forward_bytes
             + self.agg_broadcast_bytes
     }
 
@@ -242,7 +248,10 @@ mod tests {
             agg_broadcast_bytes: 64,
             ..CommStats::default()
         };
-        assert!(forged.validate().is_err(), "broadcast bytes without message");
+        assert!(
+            forged.validate().is_err(),
+            "broadcast bytes without message"
+        );
 
         let later = {
             let mut l = c;

@@ -218,7 +218,10 @@ pub enum Participation {
 impl Participation {
     /// True when the client runs local training this round.
     pub fn trains(&self) -> bool {
-        matches!(self, Participation::Active | Participation::Straggler { .. })
+        matches!(
+            self,
+            Participation::Active | Participation::Straggler { .. }
+        )
     }
 }
 
@@ -250,8 +253,7 @@ impl RoundFaults {
     /// `2^(k-1)` ticks, so a message delivered on attempt `a` waited
     /// `2^(a-1) - 1` ticks; a lost message waited the full budget.
     pub fn backoff_ticks(&self, max_retries: usize) -> usize {
-        let spent =
-            |att: &Option<usize>| backoff_ticks_for(att.unwrap_or(max_retries + 1));
+        let spent = |att: &Option<usize>| backoff_ticks_for(att.unwrap_or(max_retries + 1));
         self.up_attempts.iter().map(spent).sum::<usize>()
             + self.down_attempts.iter().map(spent).sum::<usize>()
     }
@@ -410,7 +412,9 @@ impl FaultInjector {
     /// for causal-trace attribution. Valid after
     /// [`FaultInjector::draw_agg_round`].
     pub fn agg_crashed(&self, a: usize, round: usize) -> bool {
-        self.agg_down_until.get(a).is_some_and(|&until| until > round)
+        self.agg_down_until
+            .get(a)
+            .is_some_and(|&until| until > round)
     }
 
     /// Damages a copy of `params` according to the plan's corruption kind.
@@ -667,7 +671,9 @@ mod tests {
         assert!(plan.agg_faults_active());
         assert!(!FaultPlan::none().agg_faults_active());
         let draw = |mut inj: FaultInjector| {
-            (0..6).map(|r| inj.draw_agg_round(r, 4).status).collect::<Vec<_>>()
+            (0..6)
+                .map(|r| inj.draw_agg_round(r, 4).status)
+                .collect::<Vec<_>>()
         };
         let a = draw(FaultInjector::new(plan.clone(), 10));
         let b = draw(FaultInjector::new(plan, 10));

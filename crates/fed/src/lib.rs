@@ -19,9 +19,11 @@ pub mod topology;
 pub use client::Client;
 pub use comm::CommStats;
 pub use dp::{DpConfig, PrivacyAccountant};
-pub use faults::{AggRoundFaults, AggStatus, Corruption, FaultInjector, FaultPlan, Participation, RoundFaults};
+pub use faults::{
+    AggRoundFaults, AggStatus, Corruption, FaultInjector, FaultPlan, Participation, RoundFaults,
+};
 pub use secure_agg::secure_weighted_average;
 pub use sim::{FedConfig, FedError, FedSim, RoundReport, RoundTelemetry};
-pub use topology::{ClientSampler, Failover, Sampling, Topology};
 pub use strategy::Strategy;
 pub use sybil::{flag_sybils, foolsgold_weights};
+pub use topology::{ClientSampler, Failover, Sampling, Topology};

@@ -26,7 +26,6 @@ use fexiot_obs::{
     CausalBuilder, CausalGraph, ClientRoundCost, CriticalPathEntry, FleetTelemetry, Registry,
     RoundCost,
 };
-use std::sync::Arc;
 use fexiot_tensor::codec::{ByteReader, ByteWriter, CodecError};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::{
@@ -34,6 +33,7 @@ use fexiot_tensor::optim::{
 };
 use fexiot_tensor::rng::Rng;
 use fexiot_tensor::stats::cosine_similarity;
+use std::sync::Arc;
 
 /// Federated-simulation configuration.
 #[derive(Debug, Clone)]
@@ -337,7 +337,9 @@ impl FedSim {
             .map(|dp| crate::dp::PrivacyAccountant::new(dp.noise_multiplier));
         let injector = FaultInjector::new(config.faults.clone(), clients.len());
         let sampler = ClientSampler::new(config.sampling, config.seed);
-        let client_obs = (0..clients.len()).map(|_| Arc::new(Registry::new())).collect();
+        let client_obs = (0..clients.len())
+            .map(|_| Arc::new(Registry::new()))
+            .collect();
         Ok(Self {
             clients,
             comm: CommStats::default(),
@@ -472,8 +474,11 @@ impl FedSim {
         let mut ctx = RoundCtx::full(n);
         ctx.deadline = self.config.deadline_ticks;
         let cohort: Vec<usize> = if sampling_active {
-            let weights: Vec<f64> =
-                self.clients.iter().map(|c| c.sample_count() as f64).collect();
+            let weights: Vec<f64> = self
+                .clients
+                .iter()
+                .map(|c| c.sample_count() as f64)
+                .collect();
             let cohort = self.sampler.draw_cohort(&weights);
             ctx.sampled = vec![false; n];
             for &c in &cohort {
@@ -708,7 +713,9 @@ impl FedSim {
             let _s = obs.span("fed.sim.aggregate");
             match self.config.strategy.clone() {
                 Strategy::LocalOnly => {}
-                Strategy::FedAvg => self.aggregate_full(std::slice::from_ref(&contributing), &state),
+                Strategy::FedAvg => {
+                    self.aggregate_full(std::slice::from_ref(&contributing), &state)
+                }
                 Strategy::Fmtl { eps1, eps2 } => {
                     self.refine_clusters(eps1, eps2, false);
                     let clusters = self.surviving_clusters(&state);
@@ -771,16 +778,24 @@ impl FedSim {
         // surfaces the round's traffic as deterministic `fed.comm.*`
         // counters (whole-run totals) and per-round gauges.
         let comm_delta = self.comm.delta_since(&comm_before);
-        self.obs
-            .counter_add("fed.sim.retried_messages", comm_delta.retried_messages as u64);
+        self.obs.counter_add(
+            "fed.sim.retried_messages",
+            comm_delta.retried_messages as u64,
+        );
         self.obs
             .counter_add("fed.comm.uploaded_bytes", comm_delta.uploaded_bytes as u64);
-        self.obs
-            .counter_add("fed.comm.downloaded_bytes", comm_delta.downloaded_bytes as u64);
-        self.obs
-            .counter_add("fed.comm.upload_messages", comm_delta.upload_messages as u64);
-        self.obs
-            .counter_add("fed.comm.download_messages", comm_delta.download_messages as u64);
+        self.obs.counter_add(
+            "fed.comm.downloaded_bytes",
+            comm_delta.downloaded_bytes as u64,
+        );
+        self.obs.counter_add(
+            "fed.comm.upload_messages",
+            comm_delta.upload_messages as u64,
+        );
+        self.obs.counter_add(
+            "fed.comm.download_messages",
+            comm_delta.download_messages as u64,
+        );
         self.obs.gauge_set(
             "fed.comm.round_bytes",
             (comm_delta.uploaded_bytes + comm_delta.downloaded_bytes) as f64,
@@ -816,8 +831,7 @@ impl FedSim {
 
         // The report's telemetry is read back from the registry as this
         // round's counter deltas.
-        let delta =
-            |i: usize| (self.obs.counter_value(ROUND_COUNTERS[i]) - base[i]) as usize;
+        let delta = |i: usize| (self.obs.counter_value(ROUND_COUNTERS[i]) - base[i]) as usize;
         let participants = delta(0);
         let quarantined = delta(1);
         let sampled = cohort.len();
@@ -831,8 +845,8 @@ impl FedSim {
             retried_messages: delta(3),
             lost_messages: delta(4),
             backoff_ticks: delta(5),
-            deadline_missed: (self.obs.counter_value("fed.agg.deadline_missed")
-                - deadline_base) as usize,
+            deadline_missed: (self.obs.counter_value("fed.agg.deadline_missed") - deadline_base)
+                as usize,
             aggregators: topo.aggregators.max(1),
             agg_down,
             reassigned,
@@ -873,8 +887,7 @@ impl FedSim {
             ] {
                 tel.push_sample(r, name, v);
             }
-            report_faults.slo_failures =
-                tel.observe_round(r, &self.obs.metrics_snapshot());
+            report_faults.slo_failures = tel.observe_round(r, &self.obs.metrics_snapshot());
             // Watch surface: marks carry the per-round verdict count — and,
             // with causal tracing on, the dominant root cause — so
             // `obs-export --watch` can show SLO state straight off the
@@ -1043,8 +1056,10 @@ impl FedSim {
         if self.injector.plan().corrupt > 0.0 {
             for c in 0..n {
                 if state.contributors[c] && state.faults.corrupt[c] {
-                    state.observed[c] =
-                        Some(self.injector.corrupt_params(self.clients[c].encoder.params()));
+                    state.observed[c] = Some(
+                        self.injector
+                            .corrupt_params(self.clients[c].encoder.params()),
+                    );
                 }
             }
             let mut quarantine = vec![false; n];
@@ -1607,9 +1622,7 @@ impl FedSim {
         let mut clusters = Vec::with_capacity(n_clusters);
         for _ in 0..n_clusters {
             let len = r.read_usize()?;
-            let cluster: Vec<usize> = (0..len)
-                .map(|_| r.read_usize())
-                .collect::<Result<_, _>>()?;
+            let cluster: Vec<usize> = (0..len).map(|_| r.read_usize()).collect::<Result<_, _>>()?;
             if cluster.iter().any(|&i| i >= n) {
                 return Err(CodecError::BadHeader);
             }
@@ -1657,7 +1670,8 @@ impl FedSim {
         self.trust = trust;
         self.comm = comm;
         self.rng = Rng::from_state(rng_state);
-        self.injector.restore_state(inj_rng, down_until, agg_down_until);
+        self.injector
+            .restore_state(inj_rng, down_until, agg_down_until);
         self.sampler.restore_state(sampler_state);
         if let (Some(acc), Some(dp)) = (&mut self.accountant, &self.config.dp) {
             *acc = crate::dp::PrivacyAccountant::new(dp.noise_multiplier);

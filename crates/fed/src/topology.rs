@@ -177,8 +177,7 @@ impl ClientSampler {
                 })
             } else {
                 // All remaining weights are zero: uniform over the unchosen.
-                let open: Vec<usize> =
-                    (0..n).filter(|&i| !chosen[i]).collect();
+                let open: Vec<usize> = (0..n).filter(|&i| !chosen[i]).collect();
                 open[self.rng.usize(open.len())]
             };
             chosen[pick] = true;
@@ -234,9 +233,8 @@ mod tests {
     #[test]
     fn cohorts_are_sorted_distinct_and_seed_deterministic() {
         let weights: Vec<f64> = (0..50).map(|i| (i % 7 + 1) as f64).collect();
-        let draw = |mut s: ClientSampler| {
-            (0..10).map(|_| s.draw_cohort(&weights)).collect::<Vec<_>>()
-        };
+        let draw =
+            |mut s: ClientSampler| (0..10).map(|_| s.draw_cohort(&weights)).collect::<Vec<_>>();
         let a = draw(ClientSampler::new(Sampling::FixedK(8), 42));
         let b = draw(ClientSampler::new(Sampling::FixedK(8), 42));
         assert_eq!(a, b, "same seed, same cohorts");

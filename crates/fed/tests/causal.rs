@@ -3,12 +3,10 @@
 //! trace-ID universes across seeds — and its crash→rejoin / aggregator
 //! failover chains plus the root-cause ranking must survive a real run.
 
-use fexiot_fed::{
-    Client, Failover, FaultPlan, FedConfig, FedSim, Sampling, Strategy, Topology,
-};
+use fexiot_fed::{Client, Failover, FaultPlan, FedConfig, FedSim, Sampling, Strategy, Topology};
 use fexiot_gnn::{ContrastiveConfig, Encoder, Gin};
 use fexiot_graph::{generate_dataset, DatasetConfig, GraphDataset};
-use fexiot_obs::{CausalGraph, EdgeKind, FleetTelemetry, SloEngine, Timing, TimeSeriesStore};
+use fexiot_obs::{CausalGraph, EdgeKind, FleetTelemetry, SloEngine, TimeSeriesStore, Timing};
 use fexiot_tensor::rng::Rng;
 use proptest::prelude::*;
 use std::collections::BTreeSet;

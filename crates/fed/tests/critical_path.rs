@@ -139,7 +139,10 @@ fn lossy_links_put_backoff_on_the_critical_path() {
 
     let path = sim.critical_path();
     let busy: Vec<_> = path.iter().filter(|e| e.client.is_some()).collect();
-    assert!(!busy.is_empty(), "retries must surface on the critical path");
+    assert!(
+        !busy.is_empty(),
+        "retries must surface on the critical path"
+    );
     for entry in &busy {
         assert_eq!(entry.cause, "backoff");
         assert_eq!(entry.straggler_ticks, 0);

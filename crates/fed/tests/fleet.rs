@@ -97,8 +97,16 @@ fn fleet_scale_run_degrades_without_corruption() {
     let mut aborted = 0usize;
     let mut agg_down_rounds = 0usize;
     for r in &reports {
-        assert!(r.mean_loss.is_finite(), "round {}: non-finite loss", r.round);
-        assert_eq!(r.comm_error, None, "round {}: comm invariant broke", r.round);
+        assert!(
+            r.mean_loss.is_finite(),
+            "round {}: non-finite loss",
+            r.round
+        );
+        assert_eq!(
+            r.comm_error, None,
+            "round {}: comm invariant broke",
+            r.round
+        );
         let t = &r.faults;
         assert_eq!(t.clients, 2000);
         assert_eq!(t.sampled, 48, "FixedK cohort size");
@@ -176,12 +184,20 @@ fn single_aggregator_topology_is_flat() {
 #[test]
 fn healthy_hierarchy_changes_traffic_shape_only() {
     let flat = fleet_sim(24, 11, |_| {}).run();
-    let tiered =
-        fleet_sim(24, 11, |c| c.topology = Topology::hierarchical(3, Failover::Reassign)).run();
+    let tiered = fleet_sim(24, 11, |c| {
+        c.topology = Topology::hierarchical(3, Failover::Reassign)
+    })
+    .run();
     for (f, t) in flat.iter().zip(&tiered) {
         assert_eq!(f.mean_loss.to_bits(), t.mean_loss.to_bits());
-        assert_eq!(f.cumulative_comm.uploaded_bytes, t.cumulative_comm.uploaded_bytes);
-        assert_eq!(f.cumulative_comm.downloaded_bytes, t.cumulative_comm.downloaded_bytes);
+        assert_eq!(
+            f.cumulative_comm.uploaded_bytes,
+            t.cumulative_comm.uploaded_bytes
+        );
+        assert_eq!(
+            f.cumulative_comm.downloaded_bytes,
+            t.cumulative_comm.downloaded_bytes
+        );
         assert_eq!(f.cumulative_comm.agg_forward_messages, 0);
         // 3 aggregators × (round+1) rounds, forward and broadcast.
         assert_eq!(
@@ -224,7 +240,10 @@ fn reassign_failover_retains_the_orphaned_cohort() {
             assert_eq!(s.faults.reassigned, 0, "Skip must never reroute");
         }
     }
-    assert!(saw_down, "seed never downed an aggregator — test is vacuous");
+    assert!(
+        saw_down,
+        "seed never downed an aggregator — test is vacuous"
+    );
     assert!(saw_reassign, "Reassign never rerouted a cohort");
 }
 
@@ -234,10 +253,12 @@ fn reassign_failover_retains_the_orphaned_cohort() {
 /// uninterrupted run.
 #[test]
 fn fleet_checkpoint_restore_resumes_bit_identically() {
-    let build = || fleet_sim(200, 23, |c| {
-        fleet_config(c);
-        c.sampling = Sampling::FixedK(24);
-    });
+    let build = || {
+        fleet_sim(200, 23, |c| {
+            fleet_config(c);
+            c.sampling = Sampling::FixedK(24);
+        })
+    };
 
     let mut uninterrupted = build();
     let all = fingerprint(&uninterrupted.run());
@@ -251,7 +272,11 @@ fn fleet_checkpoint_restore_resumes_bit_identically() {
     let mut resumed = build();
     resumed.restore(&blob).expect("restore failed");
     let tail: Vec<Row> = fingerprint(&(0..5).map(|_| resumed.run_round()).collect::<Vec<_>>());
-    assert_eq!(tail, all[5..], "resumed tail diverged from uninterrupted run");
+    assert_eq!(
+        tail,
+        all[5..],
+        "resumed tail diverged from uninterrupted run"
+    );
 }
 
 /// Width-invariance at fleet scale: the sampled-subset training scatter must

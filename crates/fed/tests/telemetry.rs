@@ -42,7 +42,10 @@ fn small_sim(seed: u64, config_fn: impl FnOnce(&mut FedConfig)) -> FedSim {
 fn bundle() -> FleetTelemetry {
     let mut store = TimeSeriesStore::new(64);
     store
-        .add_spec(SampleSpec::HistQuantile { name: "fed.round.loss".into(), q: 0.5 })
+        .add_spec(SampleSpec::HistQuantile {
+            name: "fed.round.loss".into(),
+            q: 0.5,
+        })
         .expect("deterministic spec");
     let rules = r#"
 # cohort must never empty out
@@ -74,7 +77,11 @@ fn round_hook_feeds_series_and_surfaces_slo_failures() {
     // The impossible rule fails from its first evaluation; the possible one
     // never does, so exactly one rule is failing at every round.
     for r in &reports {
-        assert_eq!(r.faults.slo_failures, 1, "round {}: {:?}", r.round, r.faults);
+        assert_eq!(
+            r.faults.slo_failures, 1,
+            "round {}: {:?}",
+            r.round, r.faults
+        );
     }
 
     let tel = sim.take_telemetry().expect("telemetry attached");
@@ -100,7 +107,10 @@ fn round_hook_feeds_series_and_surfaces_slo_failures() {
         "fed.round.comm_bytes",
         "fed.round.quorum_aborted",
     ] {
-        let s = tel.store.series(name).unwrap_or_else(|| panic!("series {name}"));
+        let s = tel
+            .store
+            .series(name)
+            .unwrap_or_else(|| panic!("series {name}"));
         let rounds: Vec<u64> = s.rounds.iter().copied().collect();
         assert_eq!(rounds, [0, 1, 2, 3, 4], "series {name}");
     }
@@ -141,12 +151,19 @@ fn quorum_gate_exports_margin_gauge() {
         .get("fed.round.quorum_margin")
         .copied()
         .expect("quorum margin gauge set when the gate is active");
-    assert!((-0.5..=0.5).contains(&margin), "margin {margin} in [-q, 1-q]");
+    assert!(
+        (-0.5..=0.5).contains(&margin),
+        "margin {margin} in [-q, 1-q]"
+    );
 
     // Gate off → no gauge (pre-fleet runs stay byte-identical).
     let mut sim = small_sim(11, |_| {});
     sim.run();
-    assert!(!sim.obs().snapshot().gauges.contains_key("fed.round.quorum_margin"));
+    assert!(!sim
+        .obs()
+        .snapshot()
+        .gauges
+        .contains_key("fed.round.quorum_margin"));
 }
 
 #[test]

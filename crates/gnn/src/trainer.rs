@@ -466,7 +466,10 @@ mod tests {
         for threads in [2, 7] {
             let pool = fexiot_par::ParPool::new(threads);
             assert_eq!(bits(embed_all_with(&pool, &enc, &graphs)), base_embed);
-            assert_eq!(bits(head_features_all_with(&pool, &enc, &graphs)), base_head);
+            assert_eq!(
+                bits(head_features_all_with(&pool, &enc, &graphs)),
+                base_head
+            );
         }
     }
 }

@@ -226,8 +226,7 @@ pub fn generate_dataset_with(
     };
     fexiot_obs::counter_add("graph.corpus.rules", rules.len() as u64);
     let sentences = rules.len();
-    let featurize_started =
-        fexiot_obs::global_enabled().then(std::time::Instant::now);
+    let featurize_started = fexiot_obs::global_enabled().then(std::time::Instant::now);
     let index = {
         let _s = fexiot_obs::span("pipeline.featurize");
         CorpusIndex::build(rules)
@@ -498,13 +497,8 @@ mod tests {
                 assert_eq!(g.edges, bg.edges, "threads={threads}");
                 assert_eq!(g.label, bg.label, "threads={threads}");
                 for (n, bn) in g.nodes.iter().zip(&bg.nodes) {
-                    let bits =
-                        |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                    assert_eq!(
-                        bits(&n.features),
-                        bits(&bn.features),
-                        "threads={threads}"
-                    );
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                    assert_eq!(bits(&n.features), bits(&bn.features), "threads={threads}");
                 }
             }
         }

@@ -39,7 +39,10 @@ fn device_kind_tag(k: DeviceKind) -> u8 {
     if let Some(i) = DeviceKind::ACTUATORS.iter().position(|&x| x == k) {
         i as u8
     } else {
-        let i = DeviceKind::SENSORS.iter().position(|&x| x == k).expect("in SENSORS");
+        let i = DeviceKind::SENSORS
+            .iter()
+            .position(|&x| x == k)
+            .expect("in SENSORS");
         (DeviceKind::ACTUATORS.len() + i) as u8
     }
 }
@@ -62,7 +65,9 @@ fn tag_of<T: Copy + PartialEq>(all: &[T], v: T) -> u8 {
 }
 
 fn from_tag<T: Copy>(all: &[T], tag: u8) -> Result<T, CodecError> {
-    all.get(tag as usize).copied().ok_or(CodecError::BadTag(tag))
+    all.get(tag as usize)
+        .copied()
+        .ok_or(CodecError::BadTag(tag))
 }
 
 fn write_device(w: &mut ByteWriter, d: Device) {

@@ -3,9 +3,9 @@
 
 use fexiot_nlp::dtw::dtw_distance;
 use fexiot_nlp::jenks;
-use fexiot_tensor::matrix::Matrix;
 use fexiot_nlp::tokenize::{analyze, tokenize};
 use fexiot_nlp::{Lexicon, PairFeatureExtractor, WordEmbedder, PAIR_FEATURE_DIM};
+use fexiot_tensor::matrix::Matrix;
 use proptest::prelude::*;
 
 fn rows_to_matrix(rows: &[Vec<f64>], cols: usize) -> Matrix {

@@ -228,14 +228,19 @@ impl CausalGraph {
             .and_then(Json::as_str)
             .ok_or("missing string field 'schema'")?;
         if schema != CAUSAL_SCHEMA {
-            return Err(format!("unknown schema {schema:?} (expected {CAUSAL_SCHEMA:?})"));
+            return Err(format!(
+                "unknown schema {schema:?} (expected {CAUSAL_SCHEMA:?})"
+            ));
         }
         let run = doc
             .get("run")
             .and_then(Json::as_str)
             .ok_or("missing string field 'run'")?
             .to_string();
-        let seed = doc.get("seed").and_then(Json::as_u64).ok_or("missing uint field 'seed'")?;
+        let seed = doc
+            .get("seed")
+            .and_then(Json::as_u64)
+            .ok_or("missing uint field 'seed'")?;
         let uint = |n: &Json, field: &str, at: usize| {
             n.get(field)
                 .and_then(Json::as_u64)
@@ -296,7 +301,12 @@ impl CausalGraph {
             }
             edges.push(CausalEdge { from, to, kind });
         }
-        Ok(CausalGraph { run, seed, nodes, edges })
+        Ok(CausalGraph {
+            run,
+            seed,
+            nodes,
+            edges,
+        })
     }
 }
 
@@ -446,7 +456,12 @@ impl CausalBuilder {
     }
 
     pub fn lost_upload(&mut self, round: usize, c: usize, backoff_ticks: u64) {
-        self.fault(round as u64, Entity::Client(c), "lost_upload", backoff_ticks);
+        self.fault(
+            round as u64,
+            Entity::Client(c),
+            "lost_upload",
+            backoff_ticks,
+        );
     }
 
     pub fn quarantine(&mut self, round: usize, c: usize) {
@@ -454,7 +469,12 @@ impl CausalBuilder {
     }
 
     pub fn deadline_miss(&mut self, round: usize, c: usize, report_ticks: u64) {
-        self.fault(round as u64, Entity::Client(c), "deadline_miss", report_ticks);
+        self.fault(
+            round as u64,
+            Entity::Client(c),
+            "deadline_miss",
+            report_ticks,
+        );
     }
 
     /// An aggregator down inside a crash window. `affected` is the number of
@@ -535,7 +555,11 @@ pub fn chrome_trace(graph: &CausalGraph) -> String {
             ),
         ])
     };
-    events.push(meta("process_name", 0, &format!("fexiot run {}", graph.run)));
+    events.push(meta(
+        "process_name",
+        0,
+        &format!("fexiot run {}", graph.run),
+    ));
     let mut tids: Vec<(u64, String)> = graph
         .nodes
         .iter()
@@ -558,7 +582,11 @@ pub fn chrome_trace(graph: &CausalGraph) -> String {
             Entity::Round => format!("round[{}]", n.round),
             _ => n.kind.clone(),
         };
-        let cat = if STRUCTURAL_KINDS.contains(&n.kind.as_str()) { "span" } else { "fault" };
+        let cat = if STRUCTURAL_KINDS.contains(&n.kind.as_str()) {
+            "span"
+        } else {
+            "fault"
+        };
         let mut args = vec![
             ("round".into(), Json::UInt(n.round)),
             ("ticks".into(), Json::UInt(n.ticks)),
@@ -665,9 +693,7 @@ pub fn root_cause(graph: &CausalGraph, engine: &SloEngine) -> Vec<RuleRootCause>
                 }
             }
             let total: u64 = by_kind.iter().map(|(_, _, t)| *t).sum();
-            by_kind.sort_by(|a, b| {
-                b.2.cmp(&a.2).then(b.1.cmp(&a.1)).then(a.0.cmp(&b.0))
-            });
+            by_kind.sort_by(|a, b| b.2.cmp(&a.2).then(b.1.cmp(&a.1)).then(a.0.cmp(&b.0)));
             RuleRootCause {
                 rule: v.rule.name.clone(),
                 window: (lo, last_round),
@@ -677,7 +703,11 @@ pub fn root_cause(graph: &CausalGraph, engine: &SloEngine) -> Vec<RuleRootCause>
                         cause,
                         events,
                         ticks,
-                        share: if total == 0 { 0.0 } else { ticks as f64 / total as f64 },
+                        share: if total == 0 {
+                            0.0
+                        } else {
+                            ticks as f64 / total as f64
+                        },
                     })
                     .collect(),
             }
@@ -730,7 +760,9 @@ pub fn validate_root_cause(doc: &Json) -> Result<(), String> {
         .ok_or("root_cause: missing array field 'rules'")?;
     for (i, r) in rules.iter().enumerate() {
         let at = format!("root_cause.rules[{i}]");
-        r.get("rule").and_then(Json::as_str).ok_or(format!("{at}: missing 'rule'"))?;
+        r.get("rule")
+            .and_then(Json::as_str)
+            .ok_or(format!("{at}: missing 'rule'"))?;
         let window = r
             .get("window")
             .and_then(Json::as_arr)
@@ -746,7 +778,9 @@ pub fn validate_root_cause(doc: &Json) -> Result<(), String> {
             .enumerate()
         {
             let at = format!("{at}.causes[{j}]");
-            c.get("cause").and_then(Json::as_str).ok_or(format!("{at}: missing 'cause'"))?;
+            c.get("cause")
+                .and_then(Json::as_str)
+                .ok_or(format!("{at}: missing 'cause'"))?;
             for field in ["events", "ticks"] {
                 c.get(field)
                     .and_then(Json::as_u64)
@@ -810,7 +844,11 @@ mod tests {
         assert_eq!(kind("run"), 1);
         assert_eq!(kind("round"), 3);
         assert_eq!(kind("crash"), 2);
-        assert_eq!(kind("rejoin"), 1, "client 1 rejoins once, client 0 was never down");
+        assert_eq!(
+            kind("rejoin"),
+            1,
+            "client 1 rejoins once, client 0 was never down"
+        );
         assert_eq!(kind("agg_crash"), 1);
         assert_eq!(kind("agg_rejoin"), 1);
         // Follows chain: crash(r0) → crash(r1) → rejoin(r2).
@@ -827,7 +865,10 @@ mod tests {
         // Rejoin chains into the same-round straggler, straggler into decay.
         let straggler = trace_id(42, 2, Entity::Client(1), "straggler");
         assert!(follows(rejoin, straggler));
-        assert!(follows(straggler, trace_id(42, 2, Entity::Client(1), "stale_accept")));
+        assert!(follows(
+            straggler,
+            trace_id(42, 2, Entity::Client(1), "stale_accept")
+        ));
         // Aggregator crash chains into the reassign.
         assert!(follows(
             trace_id(42, 0, Entity::Aggregator(1), "agg_crash"),
@@ -852,8 +893,10 @@ mod tests {
         assert_eq!(back.edges, g.edges);
         // Everything except wall_us survives exactly.
         for (a, b) in back.nodes.iter().zip(&g.nodes) {
-            assert_eq!((a.id, a.round, a.entity, &a.kind, a.ticks, a.ts, a.dur),
-                       (b.id, b.round, b.entity, &b.kind, b.ticks, b.ts, b.dur));
+            assert_eq!(
+                (a.id, a.round, a.entity, &a.kind, a.ticks, a.ts, a.dur),
+                (b.id, b.round, b.entity, &b.kind, b.ticks, b.ts, b.dur)
+            );
             assert_eq!(a.wall_us, 0);
         }
         // The timing variant carries the field and still parses.
@@ -875,7 +918,10 @@ mod tests {
         let g = sample_graph();
         let text = chrome_trace(&g);
         let doc = Json::parse(&text).expect("valid JSON");
-        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents");
         let ph = |p: &str| {
             events
                 .iter()
@@ -883,14 +929,22 @@ mod tests {
                 .count()
         };
         assert_eq!(ph("X"), g.nodes.len());
-        let follows = g.edges.iter().filter(|e| e.kind == EdgeKind::Follows).count();
+        let follows = g
+            .edges
+            .iter()
+            .filter(|e| e.kind == EdgeKind::Follows)
+            .count();
         assert_eq!(ph("s"), follows);
         assert_eq!(ph("f"), follows);
         // Lanes: coordinator, aggregator 1, and each client seen.
         let names: Vec<&str> = events
             .iter()
             .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
-            .filter_map(|e| e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str))
+            .filter_map(|e| {
+                e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str)
+            })
             .collect();
         assert!(names.contains(&"coordinator"));
         assert!(names.contains(&"aggregator 1"));
@@ -925,7 +979,10 @@ mod tests {
         assert_eq!(rcs[0].causes[0].ticks, 7);
         assert!(rcs[0].causes[0].share > rcs[0].causes[1].share);
         assert!(
-            rcs[0].causes.iter().all(|c| c.cause != "rejoin" && c.cause != "round"),
+            rcs[0]
+                .causes
+                .iter()
+                .all(|c| c.cause != "rejoin" && c.cause != "round"),
             "structural kinds excluded: {:?}",
             rcs[0].causes
         );

@@ -148,7 +148,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -367,7 +371,10 @@ mod tests {
             ("name".into(), Json::Str("round[0]".into())),
             ("n".into(), Json::UInt(42)),
             ("loss".into(), Json::Num(0.125)),
-            ("flags".into(), Json::Arr(vec![Json::Bool(true), Json::Null])),
+            (
+                "flags".into(),
+                Json::Arr(vec![Json::Bool(true), Json::Null]),
+            ),
             (
                 "child".into(),
                 Json::Obj(vec![("esc\"ape\n".into(), Json::Str("a\\b".into()))]),
@@ -405,11 +412,11 @@ mod tests {
 
     #[test]
     fn parses_numbers_and_escapes() {
-        assert_eq!(Json::parse("18446744073709551615"), Ok(Json::UInt(u64::MAX)));
-        assert_eq!(Json::parse("-1.5e2"), Ok(Json::Num(-150.0)));
         assert_eq!(
-            Json::parse("\"a\\u0041\\n\""),
-            Ok(Json::Str("aA\n".into()))
+            Json::parse("18446744073709551615"),
+            Ok(Json::UInt(u64::MAX))
         );
+        assert_eq!(Json::parse("-1.5e2"), Ok(Json::Num(-150.0)));
+        assert_eq!(Json::parse("\"a\\u0041\\n\""), Ok(Json::Str("aA\n".into())));
     }
 }

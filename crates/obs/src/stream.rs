@@ -159,7 +159,9 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<EventRecord, String> {
             name: name("name")?,
             value: value("value")?,
         },
-        "mark" => Event::Mark { name: name("name")? },
+        "mark" => Event::Mark {
+            name: name("name")?,
+        },
         other => return Err(format!("line {line_no}: unknown event kind {other:?}")),
     };
     Ok(EventRecord { seq, event })

@@ -79,7 +79,10 @@ fn watch_once_renders_fleet_view_from_recorded_stream() {
         frame.contains("quorum margin: -0.125 (weight above threshold)"),
         "{frame}"
     );
-    assert!(frame.contains("SLO: 1 failing · top cause agg_crash"), "{frame}");
+    assert!(
+        frame.contains("SLO: 1 failing · top cause agg_crash"),
+        "{frame}"
+    );
     assert!(
         frame.contains("attribution: stale accepted 3  retries 2  lost msgs 1  backoff ticks 6"),
         "{frame}"

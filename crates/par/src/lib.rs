@@ -272,7 +272,12 @@ mod tests {
     use std::thread::{self, ThreadId};
 
     fn pools() -> Vec<ParPool> {
-        vec![ParPool::new(1), ParPool::new(2), ParPool::new(3), ParPool::new(7)]
+        vec![
+            ParPool::new(1),
+            ParPool::new(2),
+            ParPool::new(3),
+            ParPool::new(7),
+        ]
     }
 
     #[test]
@@ -301,7 +306,11 @@ mod tests {
     #[test]
     fn map_indexed_matches_sequential_at_any_width() {
         let items: Vec<u64> = (0..103).collect();
-        let expect: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x * 3 + i as u64).collect();
+        let expect: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x * 3 + i as u64)
+            .collect();
         for pool in pools() {
             let got = pool.map_indexed(&items, |i, &x| x * 3 + i as u64);
             assert_eq!(got, expect, "threads={}", pool.threads());
@@ -334,7 +343,11 @@ mod tests {
             });
             assert_eq!(returned, indices.to_vec(), "threads={}", pool.threads());
             for (i, &x) in items.iter().enumerate() {
-                let expect = if indices.contains(&i) { i as i64 + 1000 } else { i as i64 };
+                let expect = if indices.contains(&i) {
+                    i as i64 + 1000
+                } else {
+                    i as i64
+                };
                 assert_eq!(x, expect, "item {i} at threads={}", pool.threads());
             }
         }

@@ -81,10 +81,7 @@ fn worker_loop(slot: &Slot) {
                 if !task.is_null() {
                     break;
                 }
-                parked = slot
-                    .cv
-                    .wait(parked)
-                    .unwrap_or_else(|e| e.into_inner());
+                parked = slot.cv.wait(parked).unwrap_or_else(|e| e.into_inner());
             }
             *parked = false;
         }

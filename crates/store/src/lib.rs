@@ -247,7 +247,12 @@ impl Store {
     /// with the same key. Blob and manifest writes go through a tmp-file +
     /// rename so a crash mid-write never leaves a half-written artifact
     /// behind a valid name.
-    pub fn put(&mut self, kind: ArtifactKind, id: &Identity, bytes: &[u8]) -> Result<u64, StoreError> {
+    pub fn put(
+        &mut self,
+        kind: ArtifactKind,
+        id: &Identity,
+        bytes: &[u8],
+    ) -> Result<u64, StoreError> {
         self.put_entry(kind, id, None, bytes)
     }
 
@@ -410,7 +415,10 @@ impl Store {
                     ("seed".to_string(), Json::UInt(e.identity.seed)),
                     ("scale".to_string(), Json::UInt(e.identity.scale)),
                     ("encoder".to_string(), Json::Str(e.identity.encoder.clone())),
-                    ("word_dim".to_string(), Json::UInt(u64::from(e.identity.word_dim))),
+                    (
+                        "word_dim".to_string(),
+                        Json::UInt(u64::from(e.identity.word_dim)),
+                    ),
                     (
                         "sentence_dim".to_string(),
                         Json::UInt(u64::from(e.identity.sentence_dim)),
@@ -460,7 +468,11 @@ fn parse_manifest(text: &str) -> Result<BTreeMap<String, Entry>, String> {
             .and_then(Json::as_str)
             .and_then(ArtifactKind::parse)
             .ok_or("entry with bad kind")?;
-        let need_u64 = |k: &str| row.get(k).and_then(Json::as_u64).ok_or(format!("entry missing {k}"));
+        let need_u64 = |k: &str| {
+            row.get(k)
+                .and_then(Json::as_u64)
+                .ok_or(format!("entry missing {k}"))
+        };
         let need_u32 = |k: &str| {
             need_u64(k)
                 .and_then(|v| u32::try_from(v).map_err(|_| format!("entry {k} {v} exceeds u32")))
@@ -499,7 +511,8 @@ mod tests {
     use std::sync::OnceLock;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("fexiot-store-unit-{tag}-{}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("fexiot-store-unit-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }

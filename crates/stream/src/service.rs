@@ -51,8 +51,7 @@ use crate::wire::HomeEvent;
 use crate::{Detector, HomeMaintainer, StreamVerdict};
 
 /// Virtual-time latency buckets (ticks from ingest to detection).
-pub const LATENCY_TICK_EDGES: [f64; 10] =
-    [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
+pub const LATENCY_TICK_EDGES: [f64; 10] = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
 /// Configuration of the streaming pipeline.
 #[derive(Debug, Clone)]
@@ -355,8 +354,7 @@ pub fn run_stream<D: Detector>(
         // been ingested. (The drain tail after the source empties stays in
         // the final round, closed after the loop.)
         if seq >= (round as u64 + 1) * cfg.round_events as u64 {
-            let total_shed =
-                maintain_mb.shed + shards.iter().map(|s| s.mailbox.shed).sum::<u64>();
+            let total_shed = maintain_mb.shed + shards.iter().map(|s| s.mailbox.shed).sum::<u64>();
             let delta = RoundDelta {
                 round,
                 ticks: tick - open_tick,
@@ -438,7 +436,9 @@ pub fn run_stream<D: Detector>(
             if fused >= cfg.maintain_rate {
                 break;
             }
-            let Some(mj) = maintain_mb.pop(reg) else { break };
+            let Some(mj) = maintain_mb.pop(reg) else {
+                break;
+            };
             fused += 1;
             let home = mj.ev.home;
             let maintainer = &mut maintainers[home];
@@ -459,7 +459,11 @@ pub fn run_stream<D: Detector>(
 
         // ── Detect stage ────────────────────────────────────────────────
         for (i, shard) in shards.iter_mut().enumerate() {
-            let budget = if cfg.slow_shard == Some(i) { 1 } else { cfg.detect_rate };
+            let budget = if cfg.slow_shard == Some(i) {
+                1
+            } else {
+                cfg.detect_rate
+            };
             for _ in 0..budget {
                 let Some(job) = shard.mailbox.pop(reg) else {
                     break;
@@ -687,7 +691,10 @@ mod tests {
             &reg,
             None,
         );
-        assert!(out.stats.stall_ticks > 0, "slow shard must stall the pipeline");
+        assert!(
+            out.stats.stall_ticks > 0,
+            "slow shard must stall the pipeline"
+        );
         let bp: Vec<_> = out
             .critical_path
             .iter()

@@ -117,7 +117,11 @@ mod tests {
     #[test]
     fn events_are_time_ordered_and_non_empty() {
         let fleet = replay_fleet(&FleetConfig::default());
-        assert!(fleet.events.len() > 50, "replay produced {} events", fleet.events.len());
+        assert!(
+            fleet.events.len() > 50,
+            "replay produced {} events",
+            fleet.events.len()
+        );
         for pair in fleet.events.windows(2) {
             assert!(pair[0].event.time <= pair[1].event.time);
         }

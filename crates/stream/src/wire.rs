@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use fexiot_graph::events::CleanEvent;
 use fexiot_graph::online::EXPLAIN_WINDOW;
 use fexiot_graph::{Device, DeviceKind, Location};
-use fexiot_obs::stream::{header_line, event_to_line, parse_stream};
+use fexiot_obs::stream::{event_to_line, header_line, parse_stream};
 use fexiot_obs::{Event, EventRecord};
 
 /// One wire message: a cleaned device event attributed to a home.
@@ -42,7 +42,10 @@ fn kind_by_name(name: &str) -> Option<DeviceKind> {
 }
 
 fn location_by_name(name: &str) -> Option<Location> {
-    Location::ALL.iter().copied().find(|l| format!("{l:?}") == name)
+    Location::ALL
+        .iter()
+        .copied()
+        .find(|l| format!("{l:?}") == name)
 }
 
 /// Encodes one home event as the mark name carried on the wire.
@@ -199,7 +202,10 @@ mod tests {
 
     #[test]
     fn every_kind_and_location_round_trips() {
-        for kind in DeviceKind::ACTUATORS.iter().chain(DeviceKind::SENSORS.iter()) {
+        for kind in DeviceKind::ACTUATORS
+            .iter()
+            .chain(DeviceKind::SENSORS.iter())
+        {
             for loc in Location::ALL {
                 let ev = sample(1, 5, *kind, loc, true);
                 assert_eq!(decode_mark(&encode_mark(&ev)), Some(ev), "{kind:?}@{loc:?}");

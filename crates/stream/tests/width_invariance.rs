@@ -44,7 +44,10 @@ fn streaming_exports_are_width_invariant() {
             got.digest, reference.digest,
             "detection outputs diverged at width {width}"
         );
-        assert_eq!(got, reference, "streaming exports diverged at width {width}");
+        assert_eq!(
+            got, reference,
+            "streaming exports diverged at width {width}"
+        );
     }
     fexiot_par::set_threads(saved);
 }
@@ -82,7 +85,10 @@ fn slow_shard_backpressure_fails_the_slo_and_names_the_shard() {
         Some(&mut tel),
     );
     assert!(out.stats.stall_ticks > 0);
-    assert!(tel.slo_failed(), "p99 latency SLO must trip under backpressure");
+    assert!(
+        tel.slo_failed(),
+        "p99 latency SLO must trip under backpressure"
+    );
     let attributed = out
         .critical_path
         .iter()
@@ -93,7 +99,9 @@ fn slow_shard_backpressure_fails_the_slo_and_names_the_shard() {
     // registry, so the report and the attribution can't drift apart.
     let snap = reg.metrics_snapshot();
     assert_eq!(
-        snap.counters.get("stream.backpressure.stall_ticks").copied(),
+        snap.counters
+            .get("stream.backpressure.stall_ticks")
+            .copied(),
         Some(out.stats.stall_ticks)
     );
     fexiot_par::set_threads(saved);
