@@ -77,7 +77,12 @@ fn main() {
         &fleet_rows,
     );
     let snap = fexiot_obs::global().snapshot();
-    match fexiot_obs::write_report(std::path::Path::new("results/obs"), "robustness", &snap) {
+    match fexiot_obs::write_report(
+        std::path::Path::new("results/obs"),
+        "robustness",
+        &snap,
+        &Default::default(),
+    ) {
         Ok(path) => println!("obs report written to {}", path.display()),
         Err(e) => eprintln!("cannot write obs report: {e}"),
     }

@@ -1,8 +1,8 @@
 //! The CLI's input boundary, driven as a process: a numeric flag or a
-//! `FEXIOT_THREADS` value that does not parse, or a count that is zero or
-//! out of range, exits 2 with a message that names it, instead of running
-//! with a default or a clamped value; a hostile wire file exits 1 with an
-//! error, never a crash.
+//! `FEXIOT_THREADS` value that does not parse, a count that is zero or out
+//! of range, or a real value outside its domain, exits 2 with a message
+//! that names it, instead of running with a default or a clamped value; a
+//! hostile wire file exits 1 with an error, never a crash.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,6 +133,41 @@ fn zero_dataset_and_client_counts_exit_2_naming_the_flag() {
         "no model may be trained on zero graphs"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn out_of_domain_federate_values_exit_2_naming_the_flag() {
+    // `--alpha` > 0; counts ≥ 1; `--sample-frac` in (0, 1]; the fault
+    // probabilities and `--quorum` in [0, 1]. NaN fails every range.
+    let cases: &[(&str, &str)] = &[
+        ("--alpha", "0"),
+        ("--alpha", "-1"),
+        ("--alpha", "nan"),
+        ("--aggregators", "0"),
+        ("--sample-k", "0"),
+        ("--sample-frac", "0"),
+        ("--sample-frac", "-1"),
+        ("--sample-frac", "1.5"),
+        ("--sample-frac", "nan"),
+        ("--dropout", "1.5"),
+        ("--msg-loss", "-0.5"),
+        ("--straggler", "nan"),
+        ("--corrupt", "2"),
+        ("--agg-dropout", "-0.1"),
+        ("--agg-crash", "1.01"),
+        ("--agg-straggler", "inf"),
+        ("--quorum", "2"),
+    ];
+    for (flag, value) in cases {
+        let out = cli(&["federate", flag, value], Some("1"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}, stderr: {err}");
+        assert!(
+            err.contains(flag) && err.contains(value),
+            "{flag} {value}, stderr: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value} must build nothing");
+    }
 }
 
 #[test]

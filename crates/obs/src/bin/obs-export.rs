@@ -2,7 +2,7 @@
 //! obs data.
 //!
 //! Default mode renders Prometheus text exposition from the input: a
-//! `fexiot-obs/v1|v2|v3` run report (counters, gauges, histograms with
+//! `fexiot-obs/v4` run report (counters, gauges, histograms with
 //! cumulative buckets, newest time-series samples, SLO verdict states) or a
 //! `fexiot-obs-events/v1` JSONL stream (replayed counter totals and gauge
 //! values). The input kind is auto-detected from its first line.

@@ -1,7 +1,7 @@
 //! `obs-schema-check <dir-or-file>...` — validates that emitted obs run
-//! reports parse and conform to the `fexiot-obs/v4` schema (older v1–v3
-//! reports are also accepted). Used by CI to
-//! fail the build when an instrumentation change breaks the report format.
+//! reports parse and conform to the `fexiot-obs/v4` schema, the only one
+//! accepted. Used by CI to fail the build when an instrumentation change
+//! breaks the report format.
 //!
 //! Directory arguments expand to every `*.json` directly inside them; every
 //! file is checked (reporting ALL failures, not just the first) and the

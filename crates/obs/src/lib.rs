@@ -64,11 +64,11 @@ pub use json::Json;
 pub use profile::{collapsed_stacks, write_flame, SpanStat};
 pub use registry::{
     is_timing_name, Event, EventRecord, Histogram, HistogramSnapshot, Registry, Snapshot,
-    SpanGuard, SpanNode, FLIGHT_RECORDER_CAP, RATE_SUFFIX, TIMING_SUFFIX,
+    SpanGuard, SpanNode, RATE_SUFFIX, TIMING_SUFFIX,
 };
 pub use report::{
-    check_report_file, collect_report_paths, deterministic_json, render_summary,
-    render_summary_with, validate_report, write_report, write_report_full, Timing,
+    check_report_file, collect_report_paths, deterministic_json, render_summary, validate_report,
+    write_report, ReportExtras, Timing,
 };
 pub use slo::{SloEngine, SloRule, SloStatus, SloVerdict};
 pub use timeseries::{FleetTelemetry, SampleSpec, TimeSeriesStore};

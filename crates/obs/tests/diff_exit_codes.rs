@@ -17,7 +17,7 @@ fn temp_dir(name: &str) -> PathBuf {
 fn report(dir: &Path, counter: u64) -> PathBuf {
     let reg = Registry::new();
     reg.counter_add("test.diff.items", counter);
-    write_report(dir, "run", &reg.snapshot()).expect("write report")
+    write_report(dir, "run", &reg.snapshot(), &Default::default()).expect("write report")
 }
 
 fn obs_diff<S: AsRef<OsStr>>(args: &[S]) -> Output {
@@ -66,11 +66,19 @@ fn bench_document_exits_2_with_unknown_schema() {
         r#"{"schema":"fexiot-bench/v1","workload":"featurize","scale":"small","reps":5,"seed":42,"threads":1,"items":{},"alloc":{"tracked":false,"allocs":0,"bytes":0,"peak_live_bytes":0},"timing_us":{"mean":1,"p50":1,"p90":1,"p99":1,"min":1,"max":1,"total":5}}"#,
     )
     .expect("write bench document");
-    let out = obs_diff(&[&bench, &bench]);
-    assert_eq!(out.status.code(), Some(2), "{}", text(&out.stdout));
-    let stderr = text(&out.stderr);
-    assert!(stderr.contains(&bench.display().to_string()), "{stderr}");
-    assert!(stderr.contains("unknown schema"), "{stderr}");
+    // An obs report of an older schema is refused the same way.
+    let current = report(&dir, 3);
+    let older = dir.join("older.json");
+    let text_v4 = std::fs::read_to_string(&current).expect("read report");
+    std::fs::write(&older, text_v4.replace("fexiot-obs/v4", "fexiot-obs/v3"))
+        .expect("write older report");
+    for doc in [&bench, &older] {
+        let out = obs_diff(&[doc, &current]);
+        assert_eq!(out.status.code(), Some(2), "{}", text(&out.stdout));
+        let stderr = text(&out.stderr);
+        assert!(stderr.contains(&doc.display().to_string()), "{stderr}");
+        assert!(stderr.contains("unknown schema"), "{stderr}");
+    }
 }
 
 #[test]

@@ -1,11 +1,16 @@
 //! Property tests for the observability layer: the JSONL event codec must
-//! round-trip arbitrary events exactly, and histogram merging must be
+//! round-trip arbitrary events exactly, histogram merging must be
 //! associative and commutative (the federated trace merge relies on both —
-//! per-client snapshots land in arbitrary grouping as rounds interleave).
+//! per-client snapshots land in arbitrary grouping as rounds interleave),
+//! and `obs-diff`'s structural rule must grade every kind of difference in
+//! a written report as its module docs say.
 
+use fexiot_obs::diff::{diff_reports, DiffConfig, Severity};
+use fexiot_obs::report::{to_json, ReportExtras, Timing};
 use fexiot_obs::stream::{event_to_line, header_line, parse_line, parse_stream};
-use fexiot_obs::{Event, EventRecord, Histogram};
+use fexiot_obs::{buckets, is_timing_name, Event, EventRecord, Histogram, Json, Registry};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builds an event from a generated discriminant and payload. Names cycle
 /// through representative shapes, including `[index]` instances and a
@@ -39,6 +44,110 @@ fn make_event(kind: u8, id: u64, value_bits: u32, name_sel: u8) -> Event {
         3 => Event::Gauge { name, value },
         4 => Event::Hist { name, value },
         _ => Event::Mark { name },
+    }
+}
+
+/// The written report of a registry filled from `seed`: `ops` draws of
+/// counters, deterministic and `*_per_sec` gauges, deterministic and `*_us`
+/// histograms, and spans nested up to three levels deep.
+fn generated_report(seed: u64, ops: usize) -> Json {
+    let reg = Arc::new(Registry::new());
+    let mut x = seed;
+    let mut draw = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 33
+    };
+    {
+        let _root = reg.span("root");
+        for i in 0..ops {
+            let v = draw();
+            match v % 6 {
+                0 => reg.counter_add(&format!("c{}", v % 5), v % 100),
+                1 => reg.gauge_set(&format!("g{}", v % 5), (v % 1000) as f64 / 8.0),
+                2 => reg.gauge_set(&format!("r{}_per_sec", v % 3), (v % 1000) as f64 + 1.0),
+                3 => reg.hist_record(&format!("h{}", v % 3), buckets::LOSS, (v % 64) as f64 / 8.0),
+                4 => reg.hist_record(
+                    &format!("t{}_us", v % 3),
+                    buckets::TIME_US,
+                    (v % 5000) as f64,
+                ),
+                _ => {
+                    let _outer = reg.span(format!("s{i}"));
+                    let _inner = reg.span(format!("s{i}.{}", v % 3));
+                }
+            }
+        }
+    }
+    let doc = to_json(
+        &reg.snapshot(),
+        "prop",
+        Timing::Include,
+        &ReportExtras::default(),
+    );
+    Json::parse(&doc.to_string()).expect("a written report parses")
+}
+
+/// Calls `f` on every leaf outside a timing key, with the path `obs-diff`
+/// reports it under: dotted keys, and array elements addressed by their
+/// string `name` or else their index.
+fn visit_leaves(v: &mut Json, path: &str, f: &mut impl FnMut(&str, &mut Json)) {
+    match v {
+        Json::Obj(members) => {
+            for (key, member) in members.iter_mut().filter(|(k, _)| !is_timing_name(k)) {
+                let here = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                visit_leaves(member, &here, f);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter_mut().enumerate() {
+                let here = match item.get("name").and_then(Json::as_str) {
+                    Some(name) => format!("{path}[{name}]"),
+                    None => format!("{path}[{i}]"),
+                };
+                visit_leaves(item, &here, f);
+            }
+        }
+        leaf => f(path, leaf),
+    }
+}
+
+/// Changes one leaf to a different value of its kind.
+fn mutate(leaf: &mut Json) {
+    *leaf = match leaf {
+        Json::UInt(n) => Json::UInt(*n + 1),
+        Json::Num(x) => Json::Num(*x + 0.5),
+        Json::Str(s) => Json::Str(format!("{s}~")),
+        Json::Bool(b) => Json::Bool(!*b),
+        _ => Json::UInt(0),
+    };
+}
+
+/// Scales every number under a timing key by `factor`, and with `drop`
+/// removes the timing members themselves.
+fn perturb_timing(v: &mut Json, timing: bool, factor: u64, drop: bool) {
+    match v {
+        Json::Obj(members) => {
+            if drop {
+                members.retain(|(k, _)| !is_timing_name(k));
+            }
+            for (key, member) in members.iter_mut() {
+                perturb_timing(member, timing || is_timing_name(key), factor, drop);
+            }
+        }
+        Json::Arr(items) => {
+            for item in items {
+                perturb_timing(item, timing, factor, drop);
+            }
+        }
+        Json::UInt(n) if timing => *n = n.saturating_mul(factor),
+        Json::Num(x) if timing => *x *= factor as f64,
+        _ => {}
     }
 }
 
@@ -133,5 +242,62 @@ proptest! {
         let before = a.snapshot();
         prop_assert!(!a.merge(&b.snapshot()));
         prop_assert_eq!(a.snapshot(), before, "failed merge must not mutate");
+    }
+
+    #[test]
+    fn obs_diff_grades_every_difference_by_the_structural_rule(
+        seed in 0u64..1_000_000,
+        ops in 0usize..40,
+        pick in 0usize..10_000,
+        factor in 0u64..4,
+        drop_timing in 0u8..2,
+    ) {
+        let cfg = DiffConfig::default();
+        let report = generated_report(seed, ops);
+        prop_assert!(diff_reports(&report, &report, &cfg).findings.is_empty());
+
+        // One non-timing leaf changed: exactly one breaking finding, there.
+        let mut leaves = 0usize;
+        visit_leaves(&mut report.clone(), "", &mut |_, _| leaves += 1);
+        let target = pick % leaves;
+        let (mut seen, mut changed) = (0usize, String::new());
+        let mut mutated = report.clone();
+        visit_leaves(&mut mutated, "", &mut |path, leaf| {
+            if seen == target {
+                mutate(leaf);
+                changed = path.to_string();
+            }
+            seen += 1;
+        });
+        let d = diff_reports(&report, &mutated, &cfg);
+        prop_assert_eq!(d.findings.len(), 1, "{}", d.render());
+        prop_assert_eq!(d.findings[0].severity, Severity::Breaking);
+        prop_assert_eq!(&d.findings[0].path, &changed);
+
+        // Only timing values changed: never breaking unless strict.
+        let mut retimed = report.clone();
+        perturb_timing(&mut retimed, false, factor, drop_timing == 1);
+        let lax = diff_reports(&report, &retimed, &cfg);
+        prop_assert!(lax.passed(), "{}", lax.render());
+        let strict = diff_reports(
+            &report,
+            &retimed,
+            &DiffConfig { strict_timing: true, ..DiffConfig::default() },
+        );
+        prop_assert_eq!(strict.breaking(), lax.findings.len(), "{}", strict.render());
+
+        // One optional top-level section on one side: one advisory finding.
+        let sections = ["critical_path", "timeseries", "slo", "root_cause", "stream", "next"];
+        let section = sections[pick % sections.len()];
+        let mut extended = report.clone();
+        if let Json::Obj(members) = &mut extended {
+            members.push((section.to_string(), Json::Arr(vec![Json::UInt(seed)])));
+        }
+        for (a, b) in [(&report, &extended), (&extended, &report)] {
+            let d = diff_reports(a, b, &cfg);
+            prop_assert_eq!(d.findings.len(), 1, "{}", d.render());
+            prop_assert_eq!(d.findings[0].severity, Severity::Advisory);
+            prop_assert_eq!(d.findings[0].path.as_str(), section);
+        }
     }
 }

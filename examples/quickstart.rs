@@ -58,7 +58,7 @@ fn main() {
     // No federated rounds here, so there is no causal trace to hand over;
     // `--obs-trace` still writes a valid (empty) graph for tooling smoke
     // tests.
-    obs.finish_full("quickstart", None, telemetry.as_ref(), None)
+    obs.finish("quickstart", None, telemetry.as_ref(), None, None)
         .expect("export observability");
     if telemetry.is_some_and(|t| t.slo_failed()) {
         eprintln!("SLO gate failed (see verdict lines above)");
