@@ -3,7 +3,7 @@
 //! cross-validation.
 
 use crate::scale::Scale;
-use fexiot_graph::{CorpusConfig, CorpusGenerator, Rule};
+use fexiot_graph::{CorpusConfig, CorpusGenerator};
 use fexiot_ml::{
     ForestConfig, GBoostConfig, GradientBoost, Knn, Metrics, Mlp, MlpConfig, RandomForest,
 };
@@ -55,19 +55,6 @@ pub fn build_pair_dataset(positives: usize, negatives: usize, seed: u64) -> Pair
         x: Matrix::from_rows(&rows),
         y,
     }
-}
-
-/// Ensures positives exist by direct enumeration when sampling is too sparse.
-pub fn enumerate_positive_pairs(rules: &[Rule]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in 0..rules.len() {
-        for j in 0..rules.len() {
-            if i != j && rules[i].can_trigger(&rules[j]) {
-                out.push((i, j));
-            }
-        }
-    }
-    out
 }
 
 /// One classifier's cross-validated metrics.

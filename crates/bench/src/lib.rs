@@ -5,6 +5,8 @@
 //! binaries print paper-style rows. All experiments run scaled-down by
 //! default and at paper scale with `FEXIOT_FULL=1` / `--full`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod fig3;
 pub mod fig4;

@@ -102,16 +102,6 @@ impl FexIotConfig {
         self.contrastive.seed = seed;
         self
     }
-
-    pub fn with_features(mut self, features: FeatureConfig) -> Self {
-        self.features = features;
-        self
-    }
-
-    pub fn with_contrastive(mut self, contrastive: ContrastiveConfig) -> Self {
-        self.contrastive = contrastive;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@
 //! assert!(metrics.accuracy > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod federation;
 pub mod pipeline;

@@ -13,8 +13,7 @@
 
 use fexiot::{FexIot, FexIotConfig};
 use fexiot_fed::{Client, FedConfig, FedSim, Strategy};
-use fexiot_gnn::trainer::{embed_all_with, train_contrastive_with};
-use fexiot_gnn::{binary_labels, ContrastiveConfig, Encoder, Gin};
+use fexiot_gnn::{ContrastiveConfig, Encoder, Gin};
 use fexiot_graph::dataset::generate_dataset_with;
 use fexiot_graph::{DatasetConfig, GraphDataset};
 use fexiot_par::ParPool;
@@ -49,64 +48,6 @@ fn featurize_is_width_invariant() {
     for width in WIDTHS {
         let got = dataset_fingerprint(&small_dataset(&ParPool::new(width), 60, 42));
         assert_eq!(got, reference, "featurize diverged at width {width}");
-    }
-}
-
-#[test]
-fn embed_all_is_width_invariant() {
-    let ds = small_dataset(&ParPool::new(1), 40, 7);
-    let mut rng = Rng::seed_from_u64(7);
-    let d = ds.graphs[0].nodes[0].features.len();
-    let encoder = Encoder::Gin(Gin::new(d, &[12], 6, &mut rng));
-    let reference: Vec<u64> = embed_all_with(&ParPool::new(1), &encoder, &ds.graphs)
-        .as_slice()
-        .iter()
-        .map(|f| f.to_bits())
-        .collect();
-    for width in WIDTHS {
-        let got: Vec<u64> = embed_all_with(&ParPool::new(width), &encoder, &ds.graphs)
-            .as_slice()
-            .iter()
-            .map(|f| f.to_bits())
-            .collect();
-        assert_eq!(got, reference, "embed_all diverged at width {width}");
-    }
-}
-
-#[test]
-fn contrastive_training_is_width_invariant() {
-    let ds = small_dataset(&ParPool::new(1), 40, 11);
-    let mut rng = Rng::seed_from_u64(11);
-    let d = ds.graphs[0].nodes[0].features.len();
-    let template = Encoder::Gin(Gin::new(d, &[12], 6, &mut rng));
-    let labels = binary_labels(&ds);
-    let cfg = ContrastiveConfig {
-        epochs: 2,
-        pairs_per_epoch: 16,
-        ..Default::default()
-    };
-
-    // Compare the *trained parameters* via the embeddings they produce on a
-    // fixed single-thread pool: bit-equal embeddings ⇒ bit-equal weights.
-    let probe = ParPool::new(1);
-    let fingerprint = |width: usize| -> (u64, Vec<u64>) {
-        let mut enc = template.clone();
-        let loss =
-            train_contrastive_with(&ParPool::new(width), &mut enc, &ds.graphs, &labels, &cfg);
-        let bits = embed_all_with(&probe, &enc, &ds.graphs)
-            .as_slice()
-            .iter()
-            .map(|f| f.to_bits())
-            .collect();
-        (loss.to_bits(), bits)
-    };
-    let reference = fingerprint(1);
-    for width in WIDTHS {
-        assert_eq!(
-            fingerprint(width),
-            reference,
-            "contrastive training diverged at width {width}"
-        );
     }
 }
 

@@ -9,8 +9,7 @@
 //! numerical change.
 
 use fexiot::build_encoder;
-use fexiot_gnn::trainer::train_contrastive_with;
-use fexiot_gnn::{ContrastiveConfig, EncoderKind};
+use fexiot_gnn::{train_contrastive, ContrastiveConfig, EncoderKind};
 use fexiot_graph::dataset::generate_dataset_with;
 use fexiot_graph::{DatasetConfig, FeatureConfig, GraphDataset};
 use fexiot_ml::{Lstm, Mlp, MlpConfig};
@@ -45,8 +44,8 @@ fn check(name: &str, golden: u64, run: impl Fn(usize) -> u64) {
     }
 }
 
-/// Contrastive training of one encoder on a seeded 60-graph dataset, with
-/// featurization and the pair step both on a pool of `width`.
+/// Contrastive training of one encoder on a seeded 60-graph dataset,
+/// featurized on a pool of `width`.
 fn contrastive(kind: EncoderKind, seed: u64, width: usize) -> u64 {
     let pool = ParPool::new(width);
     let mut data = if kind == EncoderKind::Magnn {
@@ -65,7 +64,7 @@ fn contrastive(kind: EncoderKind, seed: u64, width: usize) -> u64 {
         seed,
         ..ContrastiveConfig::default()
     };
-    let loss = train_contrastive_with(&pool, &mut encoder, &ds.graphs, &labels, &config);
+    let loss = train_contrastive(&mut encoder, &ds.graphs, &labels, &config);
     digest(encoder.params(), loss)
 }
 

@@ -5,6 +5,8 @@
 //! beam search of Algorithm 2, the SubgraphX and MCTS_GNN baselines, and the
 //! Fidelity/Sparsity quality metrics of Fig. 9.
 
+#![forbid(unsafe_code)]
+
 mod coalition;
 pub mod model;
 pub mod quality;

@@ -2,7 +2,7 @@
 //! local copy of the shared GNN representation model, and a private linear
 //! classification head (paper §III-B: "each client reserves two models").
 
-use fexiot_gnn::{embed_all, head_features_all, train_contrastive, ContrastiveConfig, Encoder};
+use fexiot_gnn::{head_features_all, train_contrastive, ContrastiveConfig, Encoder};
 use fexiot_graph::GraphDataset;
 use fexiot_ml::{Metrics, SgdClassifier, SgdConfig};
 use fexiot_tensor::matrix::Matrix;
@@ -203,12 +203,6 @@ impl Client {
     pub fn evaluate(&mut self, test: &GraphDataset) -> Metrics {
         let truth: Vec<usize> = test.graphs.iter().map(GraphDataset::binary_label).collect();
         Metrics::from_predictions(&self.predict(test), &truth)
-    }
-
-    /// The client's latest decision scores on its own data (used by the
-    /// drift-analysis pipeline).
-    pub fn local_embeddings(&self) -> Matrix {
-        embed_all(&self.encoder, &self.data.graphs)
     }
 }
 

@@ -400,13 +400,6 @@ impl FaultInjector {
         out
     }
 
-    /// True when client `c` is inside an open crash window at `round` — i.e.
-    /// its `Crashed` participation this round comes from the crash ledger,
-    /// not a transient dropout. Valid after [`FaultInjector::draw_round`].
-    pub fn client_crashed(&self, c: usize, round: usize) -> bool {
-        self.down_until.get(c).is_some_and(|&until| until > round)
-    }
-
     /// True when aggregator `a` is inside an open crash window at `round` —
     /// distinguishes `AggStatus::Down` from a crash vs. a transient dropout
     /// for causal-trace attribution. Valid after

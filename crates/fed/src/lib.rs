@@ -6,6 +6,8 @@
 //! recursive clustering (Algorithm 1), and byte-level communication
 //! accounting for the Fig. 7 cost analysis.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod comm;
 pub mod dp;

@@ -5,6 +5,8 @@
 //! siamese contrastive trainer of Eq. (2) whose representations feed each
 //! client's linear classification head.
 
+#![forbid(unsafe_code)]
+
 pub mod encoder;
 pub mod gcn;
 pub mod gin;

@@ -5,8 +5,7 @@
 
 use crate::encoder::Encoder;
 use fexiot_graph::{runtime_slot as slot, GraphDataset, InteractionGraph};
-use fexiot_par::{PairScope, ParPool};
-use fexiot_tensor::autograd::{Tape, Var};
+use fexiot_tensor::autograd::Tape;
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::Adam;
 use fexiot_tensor::rng::Rng;
@@ -53,22 +52,6 @@ pub fn train_contrastive(
     labels: &[usize],
     config: &ContrastiveConfig,
 ) -> f64 {
-    train_contrastive_with(&fexiot_par::pool(), encoder, graphs, labels, config)
-}
-
-/// [`train_contrastive`] on an explicit pool. Pair sampling, the Adam update,
-/// and the loss accumulation stay on the calling thread; each step's two
-/// Siamese branches build and differentiate their tapes concurrently on a
-/// [`PairScope`] (see [`step`]) — the per-step f64 operation sequence is
-/// identical at any thread count, so the trained parameters are bit-equal to
-/// the sequential run's.
-pub fn train_contrastive_with(
-    pool: &ParPool,
-    encoder: &mut Encoder,
-    graphs: &[InteractionGraph],
-    labels: &[usize],
-    config: &ContrastiveConfig,
-) -> f64 {
     assert_eq!(
         graphs.len(),
         labels.len(),
@@ -93,66 +76,57 @@ pub fn train_contrastive_with(
     let mut adam = Adam::new(config.lr, encoder.params());
     let mut last_loss = 0.0;
     let mut total_steps = 0usize;
-    pool.scope_pair(|scope| {
-        for _ in 0..config.epochs {
-            let mut epoch_loss = 0.0;
-            let mut steps = 0usize;
-            for _ in 0..config.pairs_per_epoch {
-                let (i, j, different) =
-                    if classes.len() >= 2 && (multi_member.is_empty() || rng.bool(0.5)) {
-                        // Different-class pair.
-                        let a = rng.usize(classes.len());
-                        let mut b = rng.usize(classes.len());
-                        if b == a {
-                            b = (b + 1) % classes.len();
-                        }
-                        (*rng.choose(&classes[a]), *rng.choose(&classes[b]), true)
-                    } else if !multi_member.is_empty() {
-                        // Same-class pair from a class with at least two members.
-                        let pool = &classes[*rng.choose(&multi_member)];
-                        let i = pool[rng.usize(pool.len())];
-                        let mut j = pool[rng.usize(pool.len())];
-                        if j == i {
-                            j = pool[(pool.iter().position(|&x| x == i).expect("i in pool") + 1)
-                                % pool.len()];
-                        }
-                        (i, j, false)
-                    } else {
-                        // Single class with one member each cannot form a pair.
-                        continue;
-                    };
-                if i == j {
-                    continue;
-                }
-                // Wider margin between benign and any vulnerable class.
-                let crosses_benign = (labels[i] == 0) != (labels[j] == 0);
-                let margin = if different && crosses_benign {
-                    config.margin * config.benign_margin_boost
+    for _ in 0..config.epochs {
+        let mut epoch_loss = 0.0;
+        let mut steps = 0usize;
+        for _ in 0..config.pairs_per_epoch {
+            let (i, j, different) =
+                if classes.len() >= 2 && (multi_member.is_empty() || rng.bool(0.5)) {
+                    // Different-class pair.
+                    let a = rng.usize(classes.len());
+                    let mut b = rng.usize(classes.len());
+                    if b == a {
+                        b = (b + 1) % classes.len();
+                    }
+                    (*rng.choose(&classes[a]), *rng.choose(&classes[b]), true)
+                } else if !multi_member.is_empty() {
+                    // Same-class pair from a class with at least two members.
+                    let pool = &classes[*rng.choose(&multi_member)];
+                    let i = pool[rng.usize(pool.len())];
+                    let mut j = pool[rng.usize(pool.len())];
+                    if j == i {
+                        j = pool[(pool.iter().position(|&x| x == i).expect("i in pool") + 1)
+                            % pool.len()];
+                    }
+                    (i, j, false)
                 } else {
-                    config.margin
+                    // Single class with one member each cannot form a pair.
+                    continue;
                 };
-                step(
-                    encoder,
-                    &mut adam,
-                    scope,
-                    &graphs[i],
-                    &graphs[j],
-                    different,
-                    margin,
-                    &mut epoch_loss,
-                );
-                steps += 1;
+            if i == j {
+                continue;
             }
-            last_loss = epoch_loss / steps.max(1) as f64;
-            fexiot_obs::hist_record(
-                "gnn.trainer.epoch_loss",
-                fexiot_obs::buckets::LOSS,
-                last_loss,
+            // Wider margin between benign and any vulnerable class.
+            let crosses_benign = (labels[i] == 0) != (labels[j] == 0);
+            let margin = if different && crosses_benign {
+                config.margin * config.benign_margin_boost
+            } else {
+                config.margin
+            };
+            epoch_loss += step(
+                encoder, &mut adam, &graphs[i], &graphs[j], different, margin,
             );
-            fexiot_obs::counter_add("gnn.trainer.pairs", steps as u64);
-            total_steps += steps;
+            steps += 1;
         }
-    });
+        last_loss = epoch_loss / steps.max(1) as f64;
+        fexiot_obs::hist_record(
+            "gnn.trainer.epoch_loss",
+            fexiot_obs::buckets::LOSS,
+            last_loss,
+        );
+        fexiot_obs::counter_add("gnn.trainer.pairs", steps as u64);
+        total_steps += steps;
+    }
     // Throughput gauge: each contrastive step forwards two graphs. The
     // `_per_sec` suffix marks it as wall-clock data, kept out of
     // deterministic exports.
@@ -168,79 +142,53 @@ pub fn train_contrastive_with(
     last_loss
 }
 
-/// One Siamese branch: a fresh tape with the encoder registered and one
-/// graph forwarded.
-fn branch<'e>(encoder: &'e Encoder, g: &InteractionGraph) -> (Tape<'e>, Vec<Var>, Var) {
-    let mut tape = Tape::new();
-    let vars = encoder.register(&mut tape);
-    let z = encoder.forward_with(&mut tape, &vars, g);
-    (tape, vars, z)
-}
-
-/// One contrastive step on a pair; accumulates the loss value.
+/// One contrastive step on a pair; returns the pair's loss.
 ///
-/// The two Siamese branches are independent computations over the same
-/// parameters, so each builds its own [`Tape`] — concurrently via
-/// [`PairScope::join2`] — and a tiny junction tape evaluates Eq. (2) on the
-/// two embeddings, yielding the upstream gradient seeds for
-/// [`Tape::backward_seeded`] on each branch. Bit-identity with the historic
-/// single-tape step: every encoder parameter is referenced exactly once per
-/// branch forward, and the single-tape reverse walk visited the `zb` branch
-/// first (higher node indices) then added the `za` contribution with
-/// `axpy(1.0, ..)` — the per-parameter combine below replays exactly that
-/// `g_b + g_a` operation order, and the junction tape replays the identical
-/// loss ops, so every f64 in the update matches the sequential run.
-#[allow(clippy::too_many_arguments)]
+/// Both Siamese branches and Eq. (2) go on one [`Tape`], differentiated by
+/// one backward pass. The encoder's parameters are registered once per
+/// branch, so each branch sums its own terms and the merge below adds the
+/// two sums as `g_b + g_a`. That order matters for MAGNN, whose attention
+/// weights (`w_att`, `b_att`, `q`) are read once per metapath: registered
+/// once for both branches, they would sum to `((b1 + b0) + a1) + a0`
+/// instead of `(b1 + b0) + (a1 + a0)`, and the trained bits would move.
+/// GCN and GIN read each parameter once per forward, so either way gives
+/// them the same bits.
 fn step(
     encoder: &mut Encoder,
     adam: &mut Adam,
-    scope: &PairScope,
     ga: &InteractionGraph,
     gb: &InteractionGraph,
     different: bool,
     margin: f64,
-    epoch_loss: &mut f64,
-) {
+) -> f64 {
     let y = if different { 1.0 } else { 0.0 }; // Eq. (2): y = 1 for different classes
     let enc: &Encoder = encoder;
-    let ((tape_b, vars_b, zb), (tape_a, vars_a, za)) =
-        scope.join2(|| branch(enc, gb), || branch(enc, ga));
-    // Junction: Eq. (2) on the two boundary embeddings, registered as params
-    // of a third tape so its backward yields the branch gradient seeds.
-    let mut tj = Tape::new();
-    let pa = tj.param(tape_a.value(za).clone());
-    let pb = tj.param(tape_b.value(zb).clone());
-    let d2 = tj.sq_distance(pa, pb);
+    let mut tape = Tape::new();
+    let vars_a = enc.register(&mut tape);
+    let za = enc.forward_with(&mut tape, &vars_a, ga);
+    let vars_b = enc.register(&mut tape);
+    let zb = enc.forward_with(&mut tape, &vars_b, gb);
+    let d2 = tape.sq_distance(za, zb);
     // Eq. (2): L = d^2 (1 - y) + max(0, k - d^2) y.
-    let pull = tj.scale(d2, 1.0 - y);
-    let neg = tj.scale(d2, -1.0);
-    let marg = tj.add_scalar(neg, margin);
-    let hinge = tj.relu(marg);
-    let push = tj.scale(hinge, y);
-    let loss = tj.add(pull, push);
-    let gj = tj.backward(loss);
-    let seed_a = gj.get(pa, tape_a.value(za));
-    let seed_b = gj.get(pb, tape_b.value(zb));
-    let (mut grads_b, mut grads_a) = scope.join2(
-        || tape_b.backward_seeded(zb, seed_b),
-        || tape_a.backward_seeded(za, seed_a),
-    );
+    let pull = tape.scale(d2, 1.0 - y);
+    let neg = tape.scale(d2, -1.0);
+    let marg = tape.add_scalar(neg, margin);
+    let hinge = tape.relu(marg);
+    let push = tape.scale(hinge, y);
+    let loss = tape.add(pull, push);
+    let loss_value = tape.value(loss)[(0, 0)];
+    let mut grads = tape.backward(loss);
     let gs: Vec<Matrix> = vars_a
         .iter()
         .zip(vars_b.iter())
-        .zip(encoder.params())
-        .map(|((&va, &vb), p)| {
-            // Single-tape accumulation order: slot initialized by the zb
-            // branch, za branch added via axpy. Both are moved out, not
-            // cloned.
-            match (grads_b.take(vb), grads_a.take(va)) {
-                (Some(mut g), Some(ga_)) => {
-                    g.axpy(1.0, &ga_);
-                    g
-                }
-                (Some(g), None) | (None, Some(g)) => g,
-                (None, None) => Matrix::zeros(p.rows(), p.cols()),
+        .zip(enc.params())
+        .map(|((&va, &vb), p)| match (grads.take(vb), grads.take(va)) {
+            (Some(mut g), Some(ga_)) => {
+                g.axpy(1.0, &ga_);
+                g
             }
+            (Some(g), None) | (None, Some(g)) => g,
+            (None, None) => Matrix::zeros(p.rows(), p.cols()),
         })
         .collect();
     // The norm reduction is a full pass over every gradient, so only pay
@@ -258,19 +206,13 @@ fn step(
         );
     }
     adam.step(encoder.params_mut(), &gs);
-    *epoch_loss += tj.value(loss)[(0, 0)];
+    loss_value
 }
 
 /// Embeds every graph into a row matrix.
 pub fn embed_all(encoder: &Encoder, graphs: &[InteractionGraph]) -> Matrix {
-    embed_all_with(&fexiot_par::pool(), encoder, graphs)
-}
-
-/// [`embed_all`] on an explicit pool. Each row is a pure function of one
-/// graph, so rows are scattered across the pool and gathered in graph order.
-pub fn embed_all_with(pool: &ParPool, encoder: &Encoder, graphs: &[InteractionGraph]) -> Matrix {
     assert!(!graphs.is_empty(), "embed_all: empty input");
-    let rows: Vec<Vec<f64>> = pool.map_indexed(graphs, |_, g| encoder.embed(g));
+    let rows: Vec<Vec<f64>> = graphs.iter().map(|g| encoder.embed(g)).collect();
     Matrix::from_rows(&rows)
 }
 
@@ -309,18 +251,8 @@ pub fn head_features(encoder: &Encoder, graph: &InteractionGraph) -> Vec<f64> {
 
 /// [`head_features`] for every graph, as a row matrix.
 pub fn head_features_all(encoder: &Encoder, graphs: &[InteractionGraph]) -> Matrix {
-    head_features_all_with(&fexiot_par::pool(), encoder, graphs)
-}
-
-/// [`head_features_all`] on an explicit pool (pure per-graph rows, gathered
-/// in graph order).
-pub fn head_features_all_with(
-    pool: &ParPool,
-    encoder: &Encoder,
-    graphs: &[InteractionGraph],
-) -> Matrix {
     assert!(!graphs.is_empty(), "head_features_all: empty input");
-    let rows: Vec<Vec<f64>> = pool.map_indexed(graphs, |_, g| head_features(encoder, g));
+    let rows: Vec<Vec<f64>> = graphs.iter().map(|g| head_features(encoder, g)).collect();
     Matrix::from_rows(&rows)
 }
 
@@ -413,63 +345,5 @@ mod tests {
         let enc = Encoder::Gin(Gin::new(d, &[8], 4, &mut rng));
         let m = embed_all(&enc, &graphs[..10]);
         assert_eq!(m.shape(), (10, 4));
-    }
-
-    /// All f64 entries of all parameter matrices, as raw bits.
-    fn param_bits(enc: &Encoder) -> Vec<u64> {
-        enc.params()
-            .iter()
-            .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
-            .collect()
-    }
-
-    #[test]
-    fn training_is_bit_identical_at_any_thread_count() {
-        let (graphs, labels) = dataset(7);
-        let d = graphs[0].nodes[0].features.len();
-        let cfg = ContrastiveConfig {
-            epochs: 2,
-            pairs_per_epoch: 16,
-            ..Default::default()
-        };
-        let run = |threads: usize| {
-            let mut rng = Rng::seed_from_u64(8);
-            let mut enc = Encoder::Gin(Gin::new(d, &[8], 4, &mut rng));
-            let loss = train_contrastive_with(
-                &fexiot_par::ParPool::new(threads),
-                &mut enc,
-                &graphs,
-                &labels,
-                &cfg,
-            );
-            (loss.to_bits(), param_bits(&enc))
-        };
-        let baseline = run(1);
-        for threads in [2, 7] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batch_embeds_are_bit_identical_at_any_thread_count() {
-        let (graphs, _) = dataset(9);
-        let d = graphs[0].nodes[0].features.len();
-        let mut rng = Rng::seed_from_u64(10);
-        let enc = Encoder::Gin(Gin::new(d, &[8], 4, &mut rng));
-        let bits = |m: Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
-        let base_embed = bits(embed_all_with(&fexiot_par::ParPool::new(1), &enc, &graphs));
-        let base_head = bits(head_features_all_with(
-            &fexiot_par::ParPool::new(1),
-            &enc,
-            &graphs,
-        ));
-        for threads in [2, 7] {
-            let pool = fexiot_par::ParPool::new(threads);
-            assert_eq!(bits(embed_all_with(&pool, &enc, &graphs)), base_embed);
-            assert_eq!(
-                bits(head_features_all_with(&pool, &enc, &graphs)),
-                base_head
-            );
-        }
     }
 }

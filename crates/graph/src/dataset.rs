@@ -173,33 +173,6 @@ impl DatasetConfig {
             max_nodes: 12,
         }
     }
-
-    /// Paper-scale homogeneous dataset (Table I: 6,000 labeled IFTTT graphs,
-    /// 2-50 nodes, ~1,473 vulnerable).
-    pub fn paper_ifttt() -> Self {
-        Self {
-            corpus: CorpusConfig::ifttt_only(1535),
-            features: FeatureConfig::paper(),
-            graph_count: 6000,
-            vulnerable_fraction: 1473.0 / 6000.0,
-            injected_share: 0.6,
-            min_nodes: 2,
-            max_nodes: 50,
-        }
-    }
-
-    /// Paper-scale heterogeneous dataset (Table I: 12,758 labeled graphs).
-    pub fn paper_hetero() -> Self {
-        Self {
-            corpus: CorpusConfig::paper_scale(1.0),
-            features: FeatureConfig::paper(),
-            graph_count: 12758,
-            vulnerable_fraction: 3828.0 / 12758.0,
-            injected_share: 0.6,
-            min_nodes: 2,
-            max_nodes: 50,
-        }
-    }
 }
 
 /// Generates a labeled dataset: random chained graphs plus injected

@@ -160,17 +160,6 @@ impl InteractionGraph {
         Matrix::from_rows(&rows)
     }
 
-    /// True if every node's feature dim matches.
-    pub fn is_feature_homogeneous(&self) -> bool {
-        match self.nodes.first() {
-            Some(first) => {
-                let d = first.features.len();
-                self.nodes.iter().all(|n| n.features.len() == d)
-            }
-            None => true,
-        }
-    }
-
     /// The set of platforms present in this graph.
     pub fn platforms(&self) -> Vec<Platform> {
         let mut ps: Vec<Platform> = self.nodes.iter().map(|n| n.rule.platform).collect();

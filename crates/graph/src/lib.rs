@@ -8,6 +8,8 @@
 //! home simulator producing raw event logs, the log cleaner, the five
 //! HAWatcher attacks, online-graph fusion, and federated dataset splitting.
 
+#![forbid(unsafe_code)]
+
 pub mod attacks;
 pub mod builder;
 pub mod corpus;

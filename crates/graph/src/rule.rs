@@ -117,20 +117,6 @@ impl Rule {
             Trigger::Time { .. } | Trigger::Manual => false,
         }
     }
-
-    /// The trigger's physical channel, if channel-based.
-    pub fn trigger_channel(&self) -> Option<Channel> {
-        match self.trigger {
-            Trigger::ChannelLevel { channel, .. } => Some(channel),
-            Trigger::DeviceState { device, .. } => device.kind.sense_channel(),
-            _ => None,
-        }
-    }
-
-    /// True if any action commands the given device.
-    pub fn commands_device(&self, device: Device) -> bool {
-        self.actions.iter().any(|c| c.device == device)
-    }
 }
 
 /// Phrases a trigger in platform-neutral English (corpus templates add

@@ -77,10 +77,6 @@ impl HaWatcher {
         }
     }
 
-    pub fn template_count(&self) -> usize {
-        self.templates.len()
-    }
-
     /// Fraction of failed checks over a test sequence: template violations
     /// plus out-of-vocabulary events.
     pub fn violation_rate(&self, seq: &[String]) -> f64 {

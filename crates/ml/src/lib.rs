@@ -7,6 +7,8 @@
 //! (DeepLog LSTM, HAWatcher templates, IsolationForest), and the MAD-based
 //! drifting-pattern detector of §III-B3.
 
+#![forbid(unsafe_code)]
+
 pub mod deeplog;
 pub mod drift;
 pub mod forest;

@@ -7,6 +7,8 @@
 //! warping, Jenks natural breaks, and the rule-pair correlation features that
 //! feed the interaction-discovery classifiers.
 
+#![forbid(unsafe_code)]
+
 pub mod dtw;
 pub mod embed;
 pub mod features;

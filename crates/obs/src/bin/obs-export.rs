@@ -14,16 +14,18 @@
 //!   --once             with --watch: render the current state once and exit
 //!                      (CI-friendly; no terminal control sequences)
 //!   --interval-ms N    with --watch: poll interval (default 500)
-//!   --section NAME     print one raw section of a report (e.g. `timeseries`,
-//!                      `slo`, `root_cause`) as JSON — byte-comparable
-//!                      across runs
+//!   --section NAME     print one raw section of a valid report (e.g.
+//!                      `timeseries`, `slo`, `root_cause`) as JSON —
+//!                      byte-comparable across runs
 //!   --chrome-trace     render a `fexiot-obs-causal/v1` graph file (from
 //!                      `--obs-trace`) as Chrome trace-event JSON, loadable
 //!                      in Perfetto / chrome://tracing
 //!
 //! Exit codes: 0 success, 2 usage/IO/parse error.
 
-use fexiot_obs::{prometheus_from_report, prometheus_from_stream, Json, WatchState};
+use fexiot_obs::{
+    prometheus_from_report, prometheus_from_stream, validate_report, Json, WatchState,
+};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -139,6 +141,9 @@ fn main() -> ExitCode {
             Ok(d) => d,
             Err(e) => return fail(&format!("{path}: {e:?}")),
         };
+        if let Err(e) = validate_report(&doc) {
+            return fail(&format!("{path}: {e}"));
+        }
         return match doc.get(&name) {
             Some(value) => {
                 println!("{value}");

@@ -10,8 +10,8 @@
 //!
 //! 1. **Timing.** A key that [`is_timing_name`] accepts holds wall-clock
 //!    data: a span's `elapsed_us`, a `*_us` histogram (compared by its mean)
-//!    or a `*_per_sec` rate (for which lower is worse). A change beyond the
-//!    tolerance, or a timing key on one side only, is a timing finding:
+//!    or a `*_per_sec` rate (for which lower is worse). A slowdown beyond
+//!    the tolerance, or a timing key on one side only, is a timing finding:
 //!    advisory unless [`DiffConfig::strict_timing`].
 //! 2. **Optional sections.** A top-level section present in one report only
 //!    is advisory: a flag or the run kind differs.
@@ -263,25 +263,28 @@ impl Walk<'_> {
     }
 
     /// A wall-clock member on both sides: a duration (higher is worse) or,
-    /// under a `*_per_sec` key, a rate (lower is worse).
+    /// under a `*_per_sec` key, a rate (lower is worse). Both are judged by
+    /// one slowdown factor, how many times longer the current run takes
+    /// per unit of work, flagged above `1 + tolerance`.
     fn timing(&mut self, path: String, key: &str, a: &Json, b: &Json) {
         let (Some(ma), Some(mb)) = (magnitude(a), magnitude(b)) else {
             return;
         };
         let tolerance = self.cfg.timing_tolerance;
-        let (unit, regressed) = if key.ends_with(RATE_SUFFIX) {
-            ("/s", ma > 0.0 && mb < ma / (1.0 + tolerance))
+        let rate = key.ends_with(RATE_SUFFIX);
+        let (unit, slowdown) = if rate {
+            ("/s", ma / mb)
         } else {
-            // A single measurement under the floor is noise; a histogram's
-            // mean is compared whatever its size.
-            let floor = if a.is_number() {
-                self.cfg.timing_floor_us as f64
-            } else {
-                0.0
-            };
-            ("us", ma > 0.0 && ma >= floor && mb > ma * (1.0 + tolerance))
+            ("us", mb / ma)
         };
-        if regressed {
+        // A single measured duration under the floor is noise; a histogram's
+        // mean and a rate are compared whatever their size.
+        let floor = if !rate && a.is_number() {
+            self.cfg.timing_floor_us as f64
+        } else {
+            0.0
+        };
+        if ma > 0.0 && ma >= floor && slowdown > 1.0 + tolerance {
             let shown = |v: &Json, m: f64| match v {
                 Json::Obj(_) => format!("mean {m:.1}{unit}"),
                 Json::UInt(_) => format!("{v}{unit}"),
@@ -291,10 +294,10 @@ impl Walk<'_> {
                 self.timing_severity(),
                 path,
                 format!(
-                    "{} -> {} ({:+.0}%, tolerance {:.0}%)",
+                    "{} -> {} ({:+.0}% slower, tolerance {:.0}%)",
                     shown(a, ma),
                     shown(b, mb),
-                    (mb / ma - 1.0) * 100.0,
+                    (slowdown - 1.0) * 100.0,
                     tolerance * 100.0
                 ),
             );
@@ -441,6 +444,28 @@ mod tests {
                 .starts_with("mean 100.0us -> mean 200.0us"),
             "{}",
             d.render()
+        );
+    }
+
+    #[test]
+    fn rate_drop_is_stated_as_the_slowdown_the_rule_flags() {
+        // A 22% drop in throughput is a 28% slowdown: beyond the default
+        // 25% tolerance, and the message says so in those terms.
+        let base = report(3, r#"{"x_per_sec":1000.0}"#, 100, "");
+        let d = diff(&base, &report(3, r#"{"x_per_sec":780.0}"#, 100, ""));
+        assert_eq!(d.advisory(), 1, "{}", d.render());
+        assert_eq!(
+            d.findings[0].message,
+            "1000.0/s -> 780.0/s (+28% slower, tolerance 25%)"
+        );
+        // A 19% drop is a 23% slowdown, within tolerance.
+        let d = diff(&base, &report(3, r#"{"x_per_sec":810.0}"#, 100, ""));
+        assert!(d.findings.is_empty(), "{}", d.render());
+        // A duration states its slowdown the same way.
+        let d = diff(&report(3, "{}", 10_000, ""), &report(3, "{}", 20_000, ""));
+        assert_eq!(
+            d.findings[0].message,
+            "10000us -> 20000us (+100% slower, tolerance 25%)"
         );
     }
 

@@ -67,16 +67,16 @@ impl Json {
 
     /// Parses a JSON document (the whole input must be one value).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let bytes = text.as_bytes();
         let mut p = Parser {
-            bytes,
+            text,
+            bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing data"));
         }
         Ok(v)
@@ -159,6 +159,10 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes: the cursor moves over ASCII structure byte by byte
+    /// and over a string's other characters one whole character at a time,
+    /// so it always sits on a character boundary.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the cursor.
@@ -313,11 +317,7 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always at a char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -348,8 +348,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::UInt(v));
@@ -418,5 +417,21 @@ mod tests {
         );
         assert_eq!(Json::parse("-1.5e2"), Ok(Json::Num(-150.0)));
         assert_eq!(Json::parse("\"a\\u0041\\n\""), Ok(Json::Str("aA\n".into())));
+    }
+
+    #[test]
+    fn roundtrips_multibyte_utf8_in_keys_and_values() {
+        let text = "café ∂ 🙂";
+        let doc = Json::Obj(vec![
+            (text.into(), Json::Str(text.into())),
+            ("ü".into(), Json::Arr(vec![Json::Str("∂🙂\"é".into())])),
+        ]);
+        let encoded = doc.to_string();
+        assert!(encoded.contains(text), "{encoded}");
+        assert_eq!(Json::parse(&encoded).expect("parses"), doc);
+        assert_eq!(
+            Json::parse(r#"{"café ∂ 🙂":"café ∂ 🙂"}"#),
+            Ok(Json::Obj(vec![(text.into(), Json::Str(text.into()))]))
+        );
     }
 }

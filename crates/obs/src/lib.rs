@@ -38,6 +38,8 @@
 //! (`pipeline`), and `[index]` suffixes for instances (`round[3]`,
 //! `client[0]`).
 
+#![forbid(unsafe_code)]
+
 pub mod causal;
 pub mod cli;
 pub mod diff;

@@ -1,7 +1,7 @@
 //! `fexiot-par` — the deterministic data-parallel execution layer.
 //!
-//! Every hot stage of the FexIoT pipeline (featurization, batch GNN
-//! inference, federated client steps) is a map over
+//! The two fan-outs of the FexIoT pipeline that gain from a second core
+//! (dataset featurization and federated client steps) are maps over
 //! independent items whose *outputs* must stay bit-identical no matter how
 //! many cores run it — the repo's golden tests and the obs-diff CI gate lock
 //! `f64` bit patterns, not approximations. That rules out work-stealing
@@ -26,11 +26,10 @@
 //! per-worker child registries (`fexiot_obs::with_registry`) and merge the
 //! snapshots on the calling thread in worker order (`Registry::absorb`).
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-mod pair;
-pub use pair::PairScope;
 
 /// Process-global thread count: 0 = not configured yet (resolve from the
 /// environment on first use).
@@ -41,11 +40,10 @@ pub const THREADS_ENV: &str = "FEXIOT_THREADS";
 
 thread_local! {
     /// True while this thread is executing a chunk for an outer pool call.
-    /// Nested pool calls run inline instead of spawning again — one level
-    /// of scatter already saturates the machine, and oversubscribing (e.g.
-    /// every federated client worker opening its own pair scope) turns the
-    /// spin rendezvous into scheduler thrash. Purely an execution strategy:
-    /// results are identical either way.
+    /// Nested pool calls run inline instead of spawning again: one level of
+    /// scatter already saturates the machine, and a second would only
+    /// oversubscribe it. Purely an execution strategy: results are identical
+    /// either way.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -251,19 +249,6 @@ impl ParPool {
             idx.iter().map(|&i| f(i, &mut span[i - lo])).collect()
         })
     }
-
-    /// Runs `f` with a two-lane scope: [`PairScope::join2`] executes two
-    /// closures concurrently on a persistent companion worker (spawned once
-    /// for the whole scope, so per-call dispatch is cheap enough for
-    /// microsecond-scale tasks like one GNN training step). With one thread,
-    /// one core, or inside a worker the scope is inline and `join2` runs its
-    /// closures sequentially.
-    pub fn scope_pair<R>(&self, f: impl FnOnce(&PairScope) -> R) -> R {
-        let scope = PairScope::new(self.threads > 1 && Self::available() > 1 && !in_worker());
-        let out = f(&scope);
-        drop(scope);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -414,8 +399,8 @@ mod tests {
     #[test]
     fn threads_are_used_when_the_machine_has_them() {
         // With more than one core a width-2 call must put its second chunk
-        // (and `join2`'s `fa`) on another thread; nested calls stay on the
-        // worker that makes them. With one core everything runs inline.
+        // on another thread; nested calls stay on the worker that makes
+        // them. With one core everything runs inline.
         let parallel = ParPool::available() > 1;
         let caller = thread::current().id();
         let here = || thread::current().id();
@@ -431,18 +416,11 @@ mod tests {
         assert_eq!(ids[0], caller);
         assert_eq!(ids[1] != caller, parallel, "map_subset_mut second chunk");
 
-        let (fa, fb) = pool.scope_pair(|s| s.join2(here, here));
-        assert_eq!(fb, caller);
-        assert_eq!(fa != caller, parallel, "join2 fa");
-
-        let nested: Vec<(ThreadId, Vec<ThreadId>, ThreadId)> = pool.map_indexed(&items, |_, _| {
-            let inner = pool.map_indexed(&items, |_, _| here());
-            let (pair_fa, _) = pool.scope_pair(|s| s.join2(here, here));
-            (here(), inner, pair_fa)
+        let nested: Vec<(ThreadId, Vec<ThreadId>)> = pool.map_indexed(&items, |_, _| {
+            (here(), pool.map_indexed(&items, |_, _| here()))
         });
-        for (worker, inner, pair_fa) in &nested {
+        for (worker, inner) in &nested {
             assert!(inner.iter().all(|t| t == worker), "nested map moved");
-            assert_eq!(pair_fa, worker, "nested join2 moved");
         }
         assert_eq!(nested[1].0 != caller, parallel);
     }

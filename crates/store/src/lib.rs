@@ -22,6 +22,8 @@
 //! `store.misses`, `store.corrupt`, `store.bytes_written`, `store.bytes_read`)
 //! plus a wall-clock advisory `store.load_us` histogram.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -26,6 +26,8 @@
 //! `FexIot` model; tests and benches can use the cheap built-in
 //! [`RuntimeDetector`]).
 
+#![forbid(unsafe_code)]
+
 pub mod mailbox;
 pub mod service;
 pub mod source;

@@ -403,12 +403,8 @@ impl<'p> Tape<'p> {
     }
 
     /// Reverse-mode differentiation from `node` with an explicit upstream
-    /// gradient `seed` (same shape as the node's value). This lets a
-    /// computation split across tapes: an outer tape differentiates its own
-    /// graph down to the boundary values, then each inner tape resumes from
-    /// the boundary node with the outer gradient as its seed —
-    /// `backward(loss)` is exactly `backward_seeded(loss, ones(1,1))`, so a
-    /// split walk replays the identical f64 operation sequence.
+    /// gradient `seed` (same shape as the node's value); `backward(loss)` is
+    /// `backward_seeded(loss, ones(1,1))`.
     ///
     /// One forward pass over the ops up to `node` first marks the nodes a
     /// parameter feeds; the reverse walk forms gradients for marked nodes
@@ -418,7 +414,7 @@ impl<'p> Tape<'p> {
     ///
     /// # Panics
     /// Panics if `seed`'s shape differs from the node's value.
-    pub fn backward_seeded(&self, node: Var, seed: Matrix) -> Grads {
+    fn backward_seeded(&self, node: Var, seed: Matrix) -> Grads {
         assert_eq!(
             self.value(node).shape(),
             seed.shape(),

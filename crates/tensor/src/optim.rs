@@ -36,17 +36,6 @@ pub fn param_is_finite(params: &ParamVec) -> bool {
     params.iter().all(Matrix::is_finite)
 }
 
-/// Indices of matrices containing a non-finite entry (diagnostics for
-/// quarantine logs).
-pub fn param_nonfinite_layers(params: &ParamVec) -> Vec<usize> {
-    params
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !m.is_finite())
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Elementwise difference `a - b` of two aligned parameter vectors.
 pub fn param_sub(a: &ParamVec, b: &ParamVec) -> ParamVec {
     assert_eq!(a.len(), b.len(), "param_sub: length mismatch");

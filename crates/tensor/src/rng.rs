@@ -27,12 +27,6 @@ impl Rng {
         Self { s }
     }
 
-    /// Derives an independent child generator; used to give each federated
-    /// client / worker its own stream.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        Rng::seed_from_u64(self.next_u64() ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
-    }
-
     /// Snapshot of the internal state, for checkpointing mid-stream.
     pub fn state(&self) -> [u64; 4] {
         self.s
