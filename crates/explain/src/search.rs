@@ -10,12 +10,11 @@
 //!   Monte-Carlo Shapley reward.
 //! * **MCTS_GNN**: Monte-Carlo tree search with the raw prediction score.
 
-use crate::coalition::CoalitionScorer;
+use crate::coalition::{CoalitionScorer, NodeSet, NodeSetMap};
 use crate::model::GraphScorer;
-use crate::shap::{kernel_shap, mc_shapley, ShapConfig};
+use crate::shap::{kernel_shap, mc_shapley, ShapBuffers, ShapConfig};
 use fexiot_graph::InteractionGraph;
 use fexiot_tensor::rng::Rng;
-use std::collections::HashMap;
 
 /// Which reward scores a candidate subgraph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,47 +89,55 @@ fn search(coalitions: &mut CoalitionScorer, config: &SearchConfig) -> Explanatio
     let n = graph.node_count();
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut evaluations = 0usize;
+    let mut shap = ShapBuffers::new(n);
 
-    let mut reward_of = |nodes: &[usize], rng: &mut Rng| -> f64 {
+    let mut reward_of = |nodes: &NodeSet, rng: &mut Rng| -> f64 {
         evaluations += 1;
         match config.reward {
             RewardKind::KernelShap { samples } => {
                 fexiot_obs::counter_add("explain.search.shap_evals", 1);
-                kernel_shap(coalitions, nodes, &ShapConfig { samples }, rng)
+                kernel_shap(coalitions, &mut shap, nodes, &ShapConfig { samples }, rng)
             }
             RewardKind::MonteCarloShapley { samples } => {
-                mc_shapley(coalitions, nodes, samples, rng)
+                mc_shapley(coalitions, &mut shap, nodes, samples, rng)
             }
-            RewardKind::Prediction => {
-                let mut present = vec![false; n];
-                for &i in nodes {
-                    present[i] = true;
-                }
-                coalitions.score(&present)
-            }
+            RewardKind::Prediction => coalitions.score(nodes),
         }
     };
 
-    // Q statistics per visited subgraph (keyed by sorted node set).
-    let mut stats: HashMap<Vec<usize>, (f64, usize)> = HashMap::new();
-    let mut best: Option<(Vec<usize>, f64)> = None;
+    // Q statistics per visited subgraph.
+    let mut stats: NodeSetMap<(f64, usize)> = NodeSetMap::default();
+    let mut best: Option<(NodeSet, f64)> = None;
+    // The rollout's subgraph's nodes in ascending order, one of them
+    // pruned, and the scored children.
+    let mut nodes: Vec<usize> = Vec::with_capacity(n);
+    let mut pruned: Vec<usize> = Vec::with_capacity(n);
+    let mut children: Vec<(NodeSet, f64)> = Vec::new();
 
     let min_nodes = config.min_nodes.min(n).max(1);
     for _ in 0..config.iterations.max(1) {
-        let mut current: Vec<usize> = (0..n).collect();
-        while current.len() > min_nodes {
+        let mut current = NodeSet::full(n);
+        loop {
+            nodes.clear();
+            nodes.extend(current.iter());
+            if nodes.len() <= min_nodes {
+                break;
+            }
             // Children: prune one node without fragmenting the subgraph. The
             // input graph itself may be disconnected (padded samples), so the
             // rule is "component count must not grow", which degenerates to
             // plain connectivity on connected graphs.
-            let components = graph.component_count_subset(&current);
-            let mut children: Vec<(Vec<usize>, f64)> = Vec::new();
-            for drop_pos in 0..current.len() {
-                let mut child: Vec<usize> = current.clone();
-                child.remove(drop_pos);
-                if graph.component_count_subset(&child) > components {
+            let components = graph.component_count_subset(&nodes);
+            children.clear();
+            for (drop_pos, &dropped) in nodes.iter().enumerate() {
+                pruned.clear();
+                pruned.extend_from_slice(&nodes[..drop_pos]);
+                pruned.extend_from_slice(&nodes[drop_pos + 1..]);
+                if graph.component_count_subset(&pruned) > components {
                     continue;
                 }
+                let mut child = current.clone();
+                child.remove(dropped);
                 let r = reward_of(&child, &mut rng);
                 children.push((child, r));
             }
@@ -148,10 +155,13 @@ fn search(coalitions: &mut CoalitionScorer, config: &SearchConfig) -> Explanatio
             children.truncate(kept);
             // Record rewards, track the global best at output size.
             for (child, r) in &children {
-                let entry = stats.entry(child.clone()).or_insert((0.0, 0));
+                if !stats.contains_key(child) {
+                    stats.insert(child.clone(), (0.0, 0));
+                }
+                let entry = stats.get_mut(child).expect("inserted above");
                 entry.0 += r;
                 entry.1 += 1;
-                if child.len() <= min_nodes && best.as_ref().is_none_or(|(_, b)| r > b) {
+                if nodes.len() - 1 <= min_nodes && best.as_ref().is_none_or(|(_, b)| r > b) {
                     best = Some((child.clone(), *r));
                 }
             }
@@ -172,10 +182,10 @@ fn search(coalitions: &mut CoalitionScorer, config: &SearchConfig) -> Explanatio
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .expect("children non-empty");
-            current = next.0.clone();
+            current.copy_from(&next.0);
         }
         // Terminal subgraph of this rollout is also a candidate.
-        if current.len() <= min_nodes || best.is_none() {
+        if nodes.len() <= min_nodes || best.is_none() {
             let r = reward_of(&current, &mut rng);
             if best.as_ref().is_none_or(|(_, b)| r > *b) {
                 best = Some((current.clone(), r));
@@ -183,8 +193,8 @@ fn search(coalitions: &mut CoalitionScorer, config: &SearchConfig) -> Explanatio
         }
     }
 
-    let (mut nodes, score) = best.expect("at least one candidate");
-    nodes.sort_unstable();
+    let (best, score) = best.expect("at least one candidate");
+    let nodes: Vec<usize> = best.iter().collect();
     fexiot_obs::counter_add("explain.search.evals", evaluations as u64);
     // The `_per_sec` suffix marks it as wall-clock data, kept out of
     // deterministic exports and timing-excluded streams.

@@ -6,11 +6,10 @@
 //! the efficiency constraint `Σ φ = f(full) - f(empty)` — the same trick the
 //! reference kernel SHAP implementation uses.
 
-use crate::coalition::CoalitionScorer;
+use crate::coalition::{CoalitionScorer, NodeSet};
 use crate::model::GraphScorer;
 use fexiot_graph::InteractionGraph;
-use fexiot_tensor::linalg::sum_constrained_wls;
-use fexiot_tensor::matrix::Matrix;
+use fexiot_tensor::linalg::WlsWorkspace;
 use fexiot_tensor::rng::Rng;
 
 /// Kernel-SHAP sampling configuration.
@@ -26,38 +25,65 @@ impl Default for ShapConfig {
     }
 }
 
-/// The players of the cooperative game for one candidate subgraph.
-struct Players {
-    /// `groups[p]` = node indices owned by player `p`; player 0 is the subgraph.
-    groups: Vec<Vec<usize>>,
+/// The buffers of the Shapley rewards over one graph. One explanation
+/// reuses them for every reward, so a reward allocates only when the
+/// coalition cache misses.
+pub(crate) struct ShapBuffers {
+    /// Nodes of the graph.
+    n: usize,
+    /// The node sets of the current game's players (see
+    /// [`ShapBuffers::set_players`]); the rest are left from larger games.
+    players: Vec<NodeSet>,
+    /// The full and the empty coalition.
+    full: NodeSet,
+    empty: NodeSet,
+    /// A sampled coalition (the union of its players' sets), and the same
+    /// coalition with the subgraph added.
+    coalition: NodeSet,
+    with: NodeSet,
+    /// Kernel SHAP's size weights, one sample of players, the `K × m`
+    /// design, its targets, and the solver's buffers.
+    size_weights: Vec<f64>,
+    picks: Vec<usize>,
+    design: Vec<f64>,
+    target: Vec<f64>,
+    wls: WlsWorkspace,
 }
 
-impl Players {
-    fn new(graph: &InteractionGraph, subgraph_nodes: &[usize]) -> Self {
-        let mut groups = vec![subgraph_nodes.to_vec()];
-        for i in 0..graph.node_count() {
-            if !subgraph_nodes.contains(&i) {
-                groups.push(vec![i]);
-            }
+impl ShapBuffers {
+    /// Buffers for games over an `n`-node graph.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            n,
+            players: Vec::new(),
+            full: NodeSet::full(n),
+            empty: NodeSet::empty(n),
+            coalition: NodeSet::empty(n),
+            with: NodeSet::empty(n),
+            size_weights: Vec::new(),
+            picks: Vec::new(),
+            design: Vec::new(),
+            target: Vec::new(),
+            wls: WlsWorkspace::default(),
         }
-        Self { groups }
     }
 
-    fn count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Node-presence mask for a player coalition.
-    fn mask(&self, coalition: &[bool], n_nodes: usize) -> Vec<bool> {
-        let mut present = vec![false; n_nodes];
-        for (p, &inc) in coalition.iter().enumerate() {
-            if inc {
-                for &node in &self.groups[p] {
-                    present[node] = true;
-                }
-            }
+    /// Sets up the game of `subgraph` and returns its player count `m`:
+    /// `players[0]` is the subgraph, then one singleton per node outside
+    /// it, in node order.
+    fn set_players(&mut self, subgraph: &NodeSet) -> usize {
+        let n = self.n;
+        let m = 1 + n - subgraph.len();
+        if self.players.len() < m {
+            self.players.resize_with(m, || NodeSet::empty(n));
         }
-        present
+        self.players[0].copy_from(subgraph);
+        let outside = (0..n).filter(|&i| !subgraph.contains(i));
+        for (player, i) in self.players[1..m].iter_mut().zip(outside) {
+            player.clear();
+            player.insert(i);
+        }
+        m
     }
 }
 
@@ -72,28 +98,29 @@ pub fn shap_value(
     config: &ShapConfig,
     rng: &mut Rng,
 ) -> f64 {
+    let n = graph.node_count();
     kernel_shap(
         &mut CoalitionScorer::new(scorer, graph),
-        subgraph_nodes,
+        &mut ShapBuffers::new(n),
+        &NodeSet::of(n, subgraph_nodes),
         config,
         rng,
     )
 }
 
-/// [`shap_value`] with coalition scores shared through `coalitions`.
+/// [`shap_value`] with coalition scores shared through `coalitions` and
+/// buffers through `buf`.
 pub(crate) fn kernel_shap(
     coalitions: &mut CoalitionScorer,
-    subgraph_nodes: &[usize],
+    buf: &mut ShapBuffers,
+    subgraph: &NodeSet,
     config: &ShapConfig,
     rng: &mut Rng,
 ) -> f64 {
-    let graph = coalitions.graph();
-    let players = Players::new(graph, subgraph_nodes);
-    let m = players.count();
-    let n_nodes = graph.node_count();
+    let m = buf.set_players(subgraph);
 
-    let f_full = coalitions.score(&vec![true; n_nodes]);
-    let f_empty = coalitions.score(&vec![false; n_nodes]);
+    let f_full = coalitions.score(&buf.full);
+    let f_empty = coalitions.score(&buf.empty);
     let total = f_full - f_empty;
     if m == 1 {
         return total;
@@ -102,32 +129,34 @@ pub(crate) fn kernel_shap(
     // Sample coalitions with sizes weighted by the Shapley kernel; the empty
     // and full coalitions are excluded (infinite weight — handled by the
     // efficiency constraint instead).
-    let size_weights: Vec<f64> = (1..m)
-        .map(|s| (m as f64 - 1.0) / (binomial(m, s) * s as f64 * (m - s) as f64))
-        .collect();
+    buf.size_weights.clear();
+    buf.size_weights
+        .extend((1..m).map(|s| (m as f64 - 1.0) / (binomial(m, s) * s as f64 * (m - s) as f64)));
 
     let k = config.samples.max(m); // enough rows for the regression
-    let mut design = Matrix::zeros(k, m);
-    let mut target = Matrix::zeros(k, 1);
-    for row in 0..k {
-        let size = 1 + rng.weighted_index(&size_weights);
-        let mut coalition = vec![false; m];
-        for c in rng.sample_indices(m, size) {
-            coalition[c] = true;
-            design[(row, c)] = 1.0;
+    buf.design.clear();
+    buf.design.resize(k * m, 0.0);
+    buf.target.clear();
+    for row in buf.design.chunks_exact_mut(m) {
+        let size = 1 + rng.weighted_index(&buf.size_weights);
+        rng.sample_indices_into(m, size, &mut buf.picks);
+        buf.coalition.clear();
+        for &c in &buf.picks {
+            buf.coalition.union_with(&buf.players[c]);
+            row[c] = 1.0;
         }
-        target[(row, 0)] = coalitions.score(&players.mask(&coalition, n_nodes)) - f_empty;
+        buf.target.push(coalitions.score(&buf.coalition) - f_empty);
     }
 
-    match sum_constrained_wls(&design, &target, &vec![1.0; k], total) {
-        Ok(phi) => phi[(0, 0)],
+    // Every row weighs 1.
+    match buf
+        .wls
+        .sum_constrained_wls(&buf.design, m, &buf.target, None, total)
+    {
+        Ok(phi) => phi[0],
         // Rank-deficient sampling (tiny games): fall back to the marginal
         // contribution of the subgraph against the empty coalition.
-        Err(_) => {
-            let mut coalition = vec![false; m];
-            coalition[0] = true;
-            coalitions.score(&players.mask(&coalition, n_nodes)) - f_empty
-        }
+        Err(_) => coalitions.score(&buf.players[0]) - f_empty,
     }
 }
 
@@ -141,41 +170,42 @@ pub fn monte_carlo_shapley(
     samples: usize,
     rng: &mut Rng,
 ) -> f64 {
+    let n = graph.node_count();
     mc_shapley(
         &mut CoalitionScorer::new(scorer, graph),
-        subgraph_nodes,
+        &mut ShapBuffers::new(n),
+        &NodeSet::of(n, subgraph_nodes),
         samples,
         rng,
     )
 }
 
 /// [`monte_carlo_shapley`] with coalition scores shared through
-/// `coalitions`.
+/// `coalitions` and buffers through `buf`.
 pub(crate) fn mc_shapley(
     coalitions: &mut CoalitionScorer,
-    subgraph_nodes: &[usize],
+    buf: &mut ShapBuffers,
+    subgraph: &NodeSet,
     samples: usize,
     rng: &mut Rng,
 ) -> f64 {
-    let graph = coalitions.graph();
-    let players = Players::new(graph, subgraph_nodes);
-    let m = players.count();
-    let n_nodes = graph.node_count();
+    let m = buf.set_players(subgraph);
     if m == 1 {
-        let full = coalitions.score(&vec![true; n_nodes]);
-        let empty = coalitions.score(&vec![false; n_nodes]);
+        let full = coalitions.score(&buf.full);
+        let empty = coalitions.score(&buf.empty);
         return full - empty;
     }
     let acc: f64 = (0..samples.max(1))
         .map(|_| {
-            let mut coalition = vec![false; m];
-            for flag in coalition.iter_mut().skip(1) {
-                *flag = rng.bool(0.5);
+            buf.coalition.clear();
+            for player in &buf.players[1..m] {
+                if rng.bool(0.5) {
+                    buf.coalition.union_with(player);
+                }
             }
-            let without = players.mask(&coalition, n_nodes);
-            coalition[0] = true;
-            let with = players.mask(&coalition, n_nodes);
-            coalitions.score(&with) - coalitions.score(&without)
+            buf.with.copy_from(&buf.coalition);
+            buf.with.union_with(&buf.players[0]);
+            coalitions.score(&buf.with) - coalitions.score(&buf.coalition)
         })
         .sum();
     acc / samples.max(1) as f64

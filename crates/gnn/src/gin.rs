@@ -67,7 +67,10 @@ impl Gin {
         // GIN-0: eps fixed at 0, aggregation is A + I. Normalize by degree+1
         // to keep activations bounded on large graphs (mean-GIN variant).
         let n = graph.node_count() as f64;
-        let agg = tape.constant(graph.gin_adjacency(0.0).scale(1.0 / n.sqrt().max(1.0)));
+        let mut agg = graph.gin_adjacency(0.0);
+        let s = 1.0 / n.sqrt().max(1.0);
+        agg.as_mut_slice().iter_mut().for_each(|v| *v *= s);
+        let agg = tape.constant(agg);
         let mut h = tape.constant(graph.feature_matrix());
         for l in 0..self.hidden.len() {
             let base = 4 * l;

@@ -145,19 +145,16 @@ impl InteractionGraph {
     pub fn feature_matrix(&self) -> Matrix {
         assert!(!self.nodes.is_empty(), "feature_matrix: empty graph");
         let d = self.nodes[0].features.len();
-        let rows: Vec<Vec<f64>> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                assert_eq!(
-                    n.features.len(),
-                    d,
-                    "heterogeneous feature dims; project first"
-                );
-                n.features.clone()
-            })
-            .collect();
-        Matrix::from_rows(&rows)
+        let mut data = Vec::with_capacity(self.nodes.len() * d);
+        for n in &self.nodes {
+            assert_eq!(
+                n.features.len(),
+                d,
+                "heterogeneous feature dims; project first"
+            );
+            data.extend_from_slice(&n.features);
+        }
+        Matrix::from_vec(self.nodes.len(), d, data)
     }
 
     /// The set of platforms present in this graph.
@@ -194,28 +191,35 @@ impl InteractionGraph {
 
     /// Number of connected components of the induced subgraph over `keep`
     /// (undirected view). Zero for an empty set.
+    ///
+    /// One pass of union-find over the edge list: every node of `keep`
+    /// starts as its own component and every edge inside `keep` joining two
+    /// of them removes one, so no neighbour list is built.
     pub fn component_count_subset(&self, keep: &[usize]) -> usize {
-        if keep.is_empty() {
-            return 0;
-        }
-        let adj = self.undirected_neighbors();
-        let mut visited = vec![false; self.nodes.len()];
-        let in_set = |x: usize| keep.contains(&x);
+        const OUT: usize = usize::MAX;
+        let mut parent = vec![OUT; self.nodes.len()];
         let mut components = 0;
-        for &start in keep {
-            if visited[start] {
+        for &i in keep {
+            if parent[i] == OUT {
+                parent[i] = i;
+                components += 1;
+            }
+        }
+        let root = |parent: &mut [usize], mut x: usize| {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        };
+        for &(a, b) in &self.edges {
+            if parent[a] == OUT || parent[b] == OUT {
                 continue;
             }
-            components += 1;
-            let mut stack = vec![start];
-            visited[start] = true;
-            while let Some(u) = stack.pop() {
-                for &v in &adj[u] {
-                    if in_set(v) && !visited[v] {
-                        visited[v] = true;
-                        stack.push(v);
-                    }
-                }
+            let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+            if ra != rb {
+                parent[ra] = rb;
+                components -= 1;
             }
         }
         components
@@ -298,6 +302,8 @@ mod tests {
     use super::*;
     use crate::device::{DeviceKind as K, Location as L};
     use crate::rule::{dev, Command, Trigger};
+    use fexiot_tensor::rng::Rng;
+    use proptest::prelude::*;
 
     fn node(id: u32) -> RuleNode {
         RuleNode {
@@ -373,6 +379,68 @@ mod tests {
         assert_eq!(sub.node_count(), 3);
         assert_eq!(sub.edges, vec![(0, 1), (1, 2)]);
         assert_eq!(sub.nodes[0].rule.id, 1);
+    }
+
+    /// Components by breadth-first search over rebuilt neighbour lists,
+    /// as `component_count_subset` counted them before union-find.
+    fn components_by_search(g: &InteractionGraph, keep: &[usize]) -> usize {
+        if keep.is_empty() {
+            return 0;
+        }
+        let adj = g.undirected_neighbors();
+        let mut visited = vec![false; g.nodes.len()];
+        let in_set = |x: usize| keep.contains(&x);
+        let mut components = 0;
+        for &start in keep {
+            if visited[start] {
+                continue;
+            }
+            components += 1;
+            let mut stack = vec![start];
+            visited[start] = true;
+            while let Some(u) = stack.pop() {
+                for &v in &adj[u] {
+                    if in_set(v) && !visited[v] {
+                        visited[v] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+        }
+        components
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Union-find counts what the search counted, on random graphs with
+        // self-loops and repeated edges, over random subsets in any order
+        // and with repeated indices.
+        #[test]
+        fn component_count_matches_search(seed in 0u64..1_000_000) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n = rng.range(1, 80);
+            let mut g = chain(n);
+            let density = rng.uniform(0.0, 3.0 / n as f64);
+            g.edges.clear();
+            for _ in 0..n * n {
+                if rng.bool(density) {
+                    g.edges.push((rng.usize(n), rng.usize(n)));
+                }
+            }
+            for _ in 0..8 {
+                let p = rng.f64();
+                let mut keep: Vec<usize> = (0..n).filter(|_| rng.bool(p)).collect();
+                if rng.bool(0.3) && !keep.is_empty() {
+                    keep.push(keep[rng.usize(keep.len())]);
+                }
+                rng.shuffle(&mut keep);
+                prop_assert_eq!(
+                    g.component_count_subset(&keep),
+                    components_by_search(&g, &keep)
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   threads)`. Chunk `0` runs on the calling thread.
 //! * **Order-preserving gather.** Results are concatenated in chunk order,
 //!   so the output vector is identical to the sequential map.
-//! * **Inline fast path.** With one chunk, one core, or inside a worker no
-//!   thread is spawned and no synchronization happens — the chunks run in
-//!   order on the calling thread, which *is* the sequential code path.
+//! * **Inline fast path.** With one chunk or one core no thread is spawned
+//!   and no synchronization happens — the chunks run in order on the
+//!   calling thread, which *is* the sequential code path.
 //!
 //! Callers that need randomness draw it sequentially on the calling thread
 //! before scattering, so item `i` sees the same stream at any width.
@@ -37,37 +37,6 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "FEXIOT_THREADS";
-
-thread_local! {
-    /// True while this thread is executing a chunk for an outer pool call.
-    /// Nested pool calls run inline instead of spawning again: one level of
-    /// scatter already saturates the machine, and a second would only
-    /// oversubscribe it. Purely an execution strategy: results are identical
-    /// either way.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn in_worker() -> bool {
-    IN_WORKER.with(std::cell::Cell::get)
-}
-
-/// RAII flag marking the current thread as a pool worker; restores the
-/// previous value on drop (chunk 0 runs on the calling thread, which may
-/// not be a worker itself).
-struct WorkerGuard(bool);
-
-impl WorkerGuard {
-    fn enter() -> Self {
-        Self(IN_WORKER.with(|c| c.replace(true)))
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let prev = self.0;
-        IN_WORKER.with(|c| c.set(prev));
-    }
-}
 
 /// Sets the process-global thread count used by [`pool`] (the `--threads`
 /// CLI flag lands here). Clamped to at least 1.
@@ -148,15 +117,16 @@ impl ParPool {
 
     /// The one scatter: `work(chunk)` for every chunk, results concatenated
     /// in chunk order. Chunk 0 runs on the calling thread and the rest on
-    /// scoped workers — unless there is one chunk, one core, or the caller
-    /// is itself a worker, in which case all chunks run inline in order.
-    /// A worker's panic resumes on the calling thread.
+    /// scoped workers — unless there is one chunk or one core, in which
+    /// case all chunks run inline in order. A worker's panic resumes on the
+    /// calling thread. No pool call the program makes is nested in another;
+    /// one that were would spawn its own workers and give the same results.
     fn scatter<C: Send, R: Send>(
         &self,
         chunks: Vec<C>,
         work: impl Fn(C) -> Vec<R> + Sync,
     ) -> Vec<R> {
-        let threaded = chunks.len() > 1 && Self::available() > 1 && !in_worker();
+        let threaded = chunks.len() > 1 && Self::available() > 1;
         let mut chunks = chunks.into_iter();
         let first = chunks.next().expect("chunk_bounds yields a chunk");
         if !threaded {
@@ -166,18 +136,8 @@ impl ParPool {
         }
         let work = &work;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .map(|c| {
-                    scope.spawn(move || {
-                        let _w = WorkerGuard::enter();
-                        work(c)
-                    })
-                })
-                .collect();
-            let mut out = {
-                let _w = WorkerGuard::enter();
-                work(first)
-            };
+            let handles: Vec<_> = chunks.map(|c| scope.spawn(move || work(c))).collect();
+            let mut out = work(first);
             for h in handles {
                 out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
@@ -254,7 +214,7 @@ impl ParPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread::{self, ThreadId};
+    use std::thread;
 
     fn pools() -> Vec<ParPool> {
         vec![
@@ -379,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_maps_run_inline_and_stay_correct() {
+    fn nested_maps_stay_correct() {
         let pool = ParPool::new(4);
         let outer: Vec<u64> = (0..8).collect();
         let inner: Vec<u64> = (0..4).collect();
@@ -399,8 +359,7 @@ mod tests {
     #[test]
     fn threads_are_used_when_the_machine_has_them() {
         // With more than one core a width-2 call must put its second chunk
-        // on another thread; nested calls stay on the worker that makes
-        // them. With one core everything runs inline.
+        // on another thread. With one core everything runs inline.
         let parallel = ParPool::available() > 1;
         let caller = thread::current().id();
         let here = || thread::current().id();
@@ -415,14 +374,6 @@ mod tests {
         let ids = pool.map_subset_mut(&mut slots, &[0, 1], |_, _| here());
         assert_eq!(ids[0], caller);
         assert_eq!(ids[1] != caller, parallel, "map_subset_mut second chunk");
-
-        let nested: Vec<(ThreadId, Vec<ThreadId>)> = pool.map_indexed(&items, |_, _| {
-            (here(), pool.map_indexed(&items, |_, _| here()))
-        });
-        for (worker, inner) in &nested {
-            assert!(inner.iter().all(|t| t == worker), "nested map moved");
-        }
-        assert_eq!(nested[1].0 != caller, parallel);
     }
 
     #[test]

@@ -157,15 +157,23 @@ impl Rng {
 
     /// Samples `k` distinct indices from `0..n` (k <= n), in random order.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut idx = Vec::with_capacity(n);
+        self.sample_indices_into(n, k, &mut idx);
+        idx
+    }
+
+    /// [`Rng::sample_indices`] into `idx`, which is overwritten: the same
+    /// draws and the same indices, in a buffer the caller reuses.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, idx: &mut Vec<usize>) {
         assert!(k <= n, "sample_indices: k={k} > n={n}");
-        let mut idx: Vec<usize> = (0..n).collect();
+        idx.clear();
+        idx.extend(0..n);
         // Partial Fisher-Yates: only the first k positions need randomizing.
         for i in 0..k {
             let j = self.range(i, n);
             idx.swap(i, j);
         }
         idx.truncate(k);
-        idx
     }
 
     /// Samples an index according to unnormalized non-negative weights.
@@ -278,6 +286,17 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 30);
+    }
+
+    #[test]
+    fn sample_indices_into_reuses_a_buffer_with_the_same_draws() {
+        let (mut a, mut b) = (Rng::seed_from_u64(37), Rng::seed_from_u64(37));
+        let mut buf = vec![99; 40];
+        for (n, k) in [(12, 5), (3, 3), (40, 0), (7, 1), (12, 12)] {
+            b.sample_indices_into(n, k, &mut buf);
+            assert_eq!(buf, a.sample_indices(n, k), "n={n} k={k}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
