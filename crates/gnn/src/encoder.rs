@@ -4,11 +4,24 @@
 //! the federated layer (Alg. 1) can cluster and aggregate per GNN layer,
 //! bottom-up, and so the communication accountant can price per-layer
 //! uploads.
+//!
+//! Each encoder has one forward body, generic over [`Forward`]: training
+//! runs it on a [`Tape`], which records for the backward pass, and
+//! [`Encoder::embed`] runs it on this thread's [`Evaluator`], which records
+//! nothing and rewrites the same buffers on every call.
 
 use crate::{gcn::Gcn, gin::Gin, magnn::Magnn};
 use fexiot_graph::InteractionGraph;
-use fexiot_tensor::autograd::{Tape, Var};
+use fexiot_tensor::autograd::{Forward, Tape, Var};
+use fexiot_tensor::eval::Evaluator;
 use fexiot_tensor::optim::ParamVec;
+use std::cell::RefCell;
+
+thread_local! {
+    /// This thread's inference buffers, sized by the largest graph it
+    /// embedded.
+    static EVALUATOR: RefCell<Evaluator> = const { RefCell::new(Evaluator::new()) };
+}
 
 /// Which GNN architecture to instantiate.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,20 +109,29 @@ impl Encoder {
 
     /// Forward pass with pre-registered parameter vars; returns the `(1, d)`
     /// graph embedding node.
-    pub fn forward_with(&self, tape: &mut Tape, vars: &[Var], graph: &InteractionGraph) -> Var {
+    pub fn forward_with<F: Forward>(
+        &self,
+        f: &mut F,
+        vars: &[Var],
+        graph: &InteractionGraph,
+    ) -> Var {
         match self {
-            Encoder::Gcn(e) => e.forward_with(tape, vars, graph),
-            Encoder::Gin(e) => e.forward_with(tape, vars, graph),
-            Encoder::Magnn(e) => e.forward_with(tape, vars, graph),
+            Encoder::Gcn(e) => e.forward_with(f, vars, graph),
+            Encoder::Gin(e) => e.forward_with(f, vars, graph),
+            Encoder::Magnn(e) => e.forward_with(f, vars, graph),
         }
     }
 
-    /// Inference-only embedding of one graph.
+    /// Inference-only embedding of one graph: the forward runs on this
+    /// thread's evaluator, so nothing is recorded, and it gives the bits
+    /// a tape forward gives.
     pub fn embed(&self, graph: &InteractionGraph) -> Vec<f64> {
-        let mut tape = Tape::new();
-        let vars = self.register(&mut tape);
-        let z = self.forward_with(&mut tape, &vars, graph);
-        tape.value(z).row(0).to_vec()
+        EVALUATOR.with(|evaluator| {
+            let mut evaluator = evaluator.borrow_mut();
+            let (mut f, vars) = evaluator.start(self.params());
+            let z = self.forward_with(&mut f, vars, graph);
+            f.value(z).row(0).to_vec()
+        })
     }
 }
 

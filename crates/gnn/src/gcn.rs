@@ -4,7 +4,7 @@
 //! linear projection to the embedding space.
 
 use fexiot_graph::InteractionGraph;
-use fexiot_tensor::autograd::{Tape, Var};
+use fexiot_tensor::autograd::{Forward, Var};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::ParamVec;
 use fexiot_tensor::rng::Rng;
@@ -64,20 +64,25 @@ impl Gcn {
         sizes
     }
 
-    pub fn forward_with(&self, tape: &mut Tape, vars: &[Var], graph: &InteractionGraph) -> Var {
+    pub fn forward_with<F: Forward>(
+        &self,
+        f: &mut F,
+        vars: &[Var],
+        graph: &InteractionGraph,
+    ) -> Var {
         assert_eq!(vars.len(), self.params.len(), "gcn: var count mismatch");
-        let a = tape.constant(graph.normalized_adjacency());
-        let mut h = tape.constant(graph.feature_matrix());
+        let a = f.constant_with(|a| graph.normalized_adjacency_into(a));
+        let mut h = f.constant_with(|x| graph.feature_matrix_into(x));
         for l in 0..self.hidden.len() {
             let w = vars[2 * l];
             let b = vars[2 * l + 1];
-            let prop = tape.matmul(a, h);
-            let z = tape.matmul(prop, w);
-            let z = tape.add_row_broadcast(z, b);
-            h = tape.relu(z);
+            let prop = f.matmul(a, h);
+            let z = f.matmul(prop, w);
+            let z = f.add_row_broadcast(z, b);
+            h = f.relu(z);
         }
-        let pooled = tape.mean_rows(h);
-        tape.matmul(pooled, *vars.last().expect("gcn has params"))
+        let pooled = f.mean_rows(h);
+        f.matmul(pooled, *vars.last().expect("gcn has params"))
     }
 }
 
@@ -86,6 +91,7 @@ mod tests {
     use super::*;
     use crate::encoder::Encoder;
     use fexiot_graph::{CorpusConfig, CorpusGenerator, CorpusIndex, FeatureConfig, GraphBuilder};
+    use fexiot_tensor::autograd::Tape;
 
     fn graph(seed: u64) -> InteractionGraph {
         let mut rng = Rng::seed_from_u64(seed);

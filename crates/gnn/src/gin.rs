@@ -4,7 +4,7 @@
 //! homogeneous encoders (Fig. 4).
 
 use fexiot_graph::InteractionGraph;
-use fexiot_tensor::autograd::{Tape, Var};
+use fexiot_tensor::autograd::{Forward, Var};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::ParamVec;
 use fexiot_tensor::rng::Rng;
@@ -62,28 +62,33 @@ impl Gin {
         sizes
     }
 
-    pub fn forward_with(&self, tape: &mut Tape, vars: &[Var], graph: &InteractionGraph) -> Var {
+    pub fn forward_with<F: Forward>(
+        &self,
+        f: &mut F,
+        vars: &[Var],
+        graph: &InteractionGraph,
+    ) -> Var {
         assert_eq!(vars.len(), self.params.len(), "gin: var count mismatch");
         // GIN-0: eps fixed at 0, aggregation is A + I. Normalize by degree+1
         // to keep activations bounded on large graphs (mean-GIN variant).
-        let n = graph.node_count() as f64;
-        let mut agg = graph.gin_adjacency(0.0);
-        let s = 1.0 / n.sqrt().max(1.0);
-        agg.as_mut_slice().iter_mut().for_each(|v| *v *= s);
-        let agg = tape.constant(agg);
-        let mut h = tape.constant(graph.feature_matrix());
+        let s = 1.0 / (graph.node_count() as f64).sqrt().max(1.0);
+        let agg = f.constant_with(|a| {
+            graph.gin_adjacency_into(0.0, a);
+            a.as_mut_slice().iter_mut().for_each(|v| *v *= s);
+        });
+        let mut h = f.constant_with(|x| graph.feature_matrix_into(x));
         for l in 0..self.hidden.len() {
             let base = 4 * l;
-            let prop = tape.matmul(agg, h);
-            let z1 = tape.matmul(prop, vars[base]);
-            let z1 = tape.add_row_broadcast(z1, vars[base + 1]);
-            let a1 = tape.relu(z1);
-            let z2 = tape.matmul(a1, vars[base + 2]);
-            let z2 = tape.add_row_broadcast(z2, vars[base + 3]);
-            h = tape.relu(z2);
+            let prop = f.matmul(agg, h);
+            let z1 = f.matmul(prop, vars[base]);
+            let z1 = f.add_row_broadcast(z1, vars[base + 1]);
+            let a1 = f.relu(z1);
+            let z2 = f.matmul(a1, vars[base + 2]);
+            let z2 = f.add_row_broadcast(z2, vars[base + 3]);
+            h = f.relu(z2);
         }
-        let pooled = tape.mean_rows(h);
-        tape.matmul(pooled, *vars.last().expect("gin has params"))
+        let pooled = f.mean_rows(h);
+        f.matmul(pooled, *vars.last().expect("gin has params"))
     }
 }
 

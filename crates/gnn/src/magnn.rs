@@ -11,7 +11,7 @@
 //! inter-metapath attention (documented substitution, see DESIGN.md).
 
 use fexiot_graph::{FeatureConfig, InteractionGraph, Platform};
-use fexiot_tensor::autograd::{Tape, Var};
+use fexiot_tensor::autograd::{Forward, Var};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::ParamVec;
 use fexiot_tensor::rng::Rng;
@@ -95,7 +95,12 @@ impl Magnn {
         vec![self.type_dims.len(), METAPATHS * 2 + 3, 1]
     }
 
-    pub fn forward_with(&self, tape: &mut Tape, vars: &[Var], graph: &InteractionGraph) -> Var {
+    pub fn forward_with<F: Forward>(
+        &self,
+        f: &mut F,
+        vars: &[Var],
+        graph: &InteractionGraph,
+    ) -> Var {
         assert_eq!(vars.len(), self.params.len(), "magnn: var count mismatch");
         let n = graph.node_count();
         assert!(n > 0, "magnn: empty graph");
@@ -111,107 +116,100 @@ impl Magnn {
             if members.is_empty() {
                 continue;
             }
-            let mut x_t = Matrix::zeros(members.len(), d);
-            for (r, &node) in members.iter().enumerate() {
-                let f = &graph.nodes[node].features;
-                assert_eq!(
-                    f.len(),
-                    d,
-                    "magnn: node feature dim {} != registered {} for {:?}",
-                    f.len(),
-                    d,
-                    platform
-                );
-                x_t.row_mut(r).copy_from_slice(f);
-            }
-            let x_t = tape.constant(x_t);
-            parts.push((tape.matmul(x_t, vars[ti]), members));
+            let x_t = f.constant_with(|x_t| {
+                x_t.reset(members.len(), d);
+                for (r, &node) in members.iter().enumerate() {
+                    let feat = &graph.nodes[node].features;
+                    assert_eq!(
+                        feat.len(),
+                        d,
+                        "magnn: node feature dim {} != registered {} for {:?}",
+                        feat.len(),
+                        d,
+                        platform
+                    );
+                    x_t.row_mut(r).copy_from_slice(feat);
+                }
+            });
+            parts.push((f.matmul(x_t, vars[ti]), members));
         }
         assert!(
             !parts.is_empty(),
             "magnn: no node matched a registered platform; graph platforms {:?}",
             graph.platforms()
         );
-        let h = tape.place_rows(n, parts);
+        let h = f.place_rows(n, &parts);
 
         // ---- Metapath aggregation: same-platform and cross-platform edges.
-        let adjs = metapath_adjacencies(graph);
-        let mut summaries = Vec::with_capacity(METAPATHS);
         let w_att = vars[t_count + METAPATHS * 2];
         let b_att = vars[t_count + METAPATHS * 2 + 1];
         let q = vars[t_count + METAPATHS * 2 + 2];
-        let mut scores = Vec::with_capacity(METAPATHS);
-        for (m, adj) in adjs.into_iter().enumerate() {
-            let a = tape.constant(adj);
+        let branches: [(Var, Var); METAPATHS] = std::array::from_fn(|m| {
+            let a = f.constant_with(|a| metapath_adjacency_into(graph, m == SAME_PLATFORM, a));
             let w = vars[t_count + 2 * m];
             let b = vars[t_count + 2 * m + 1];
-            let prop = tape.matmul(a, h);
-            let z = tape.matmul(prop, w);
-            let z = tape.add_row_broadcast(z, b);
-            let h_m = tape.relu(z);
+            let prop = f.matmul(a, h);
+            let z = f.matmul(prop, w);
+            let z = f.add_row_broadcast(z, b);
+            let h_m = f.relu(z);
             // Semantic attention score for this metapath.
-            let att_in = tape.matmul(h_m, w_att);
-            let att_in = tape.add_row_broadcast(att_in, b_att);
-            let att = tape.tanh(att_in);
-            let pooled = tape.mean_rows(att);
-            let raw = tape.matmul(pooled, q);
-            let score = tape.tanh(raw); // bounded before exp
-            summaries.push(h_m);
-            scores.push(score);
-        }
+            let att_in = f.matmul(h_m, w_att);
+            let att_in = f.add_row_broadcast(att_in, b_att);
+            let att = f.tanh(att_in);
+            let pooled = f.mean_rows(att);
+            let raw = f.matmul(pooled, q);
+            let score = f.tanh(raw); // bounded before exp
+            (h_m, score)
+        });
         // Softmax over the (two) metapath scores, composed explicitly.
-        let exps: Vec<Var> = scores.iter().map(|&s| tape.exp(s)).collect();
+        let exps = branches.map(|(_, score)| f.exp(score));
         let mut denom = exps[0];
         for &e in &exps[1..] {
-            denom = tape.add(denom, e);
+            denom = f.add(denom, e);
         }
         let mut mixed: Option<Var> = None;
-        for (h_m, e) in summaries.into_iter().zip(exps) {
-            let alpha = tape.div(e, denom);
-            let scaled = tape.mul_scalar_var(h_m, alpha);
+        for ((h_m, _), e) in branches.into_iter().zip(exps) {
+            let alpha = f.div(e, denom);
+            let scaled = f.mul_scalar_var(h_m, alpha);
             mixed = Some(match mixed {
-                Some(acc) => tape.add(acc, scaled),
+                Some(acc) => f.add(acc, scaled),
                 None => scaled,
             });
         }
         let mixed = mixed.expect("at least one metapath");
 
-        let pooled = tape.mean_rows(mixed);
-        tape.matmul(pooled, *vars.last().expect("magnn has params"))
+        let pooled = f.mean_rows(mixed);
+        f.matmul(pooled, *vars.last().expect("magnn has params"))
     }
 }
 
-/// Normalized adjacencies (with self-loops) restricted to same-platform and
-/// cross-platform edges, respectively.
-fn metapath_adjacencies(graph: &InteractionGraph) -> [Matrix; METAPATHS] {
+/// Index of the same-platform metapath; the other joins platforms.
+const SAME_PLATFORM: usize = 0;
+
+/// Writes into `out` the row-normalized adjacency (with self-loops)
+/// restricted to same-platform edges if `same`, else to cross-platform
+/// edges.
+fn metapath_adjacency_into(graph: &InteractionGraph, same: bool, out: &mut Matrix) {
     let n = graph.node_count();
-    let mut same = Matrix::eye(n);
-    let mut cross = Matrix::eye(n);
-    for &(u, v) in &graph.edges {
-        if u == v {
-            continue;
-        }
-        let target = if graph.nodes[u].rule.platform == graph.nodes[v].rule.platform {
-            &mut same
-        } else {
-            &mut cross
-        };
-        target[(u, v)] = 1.0;
-        target[(v, u)] = 1.0;
+    out.reset(n, n);
+    for i in 0..n {
+        out[(i, i)] = 1.0;
     }
-    [row_normalize(same), row_normalize(cross)]
-}
-
-fn row_normalize(mut a: Matrix) -> Matrix {
-    for r in 0..a.rows() {
-        let sum: f64 = a.row(r).iter().sum();
+    for &(u, v) in &graph.edges {
+        let same_platform = graph.nodes[u].rule.platform == graph.nodes[v].rule.platform;
+        if u != v && same_platform == same {
+            out[(u, v)] = 1.0;
+            out[(v, u)] = 1.0;
+        }
+    }
+    for r in 0..n {
+        let sum: f64 = out.row(r).iter().sum();
         if sum > 0.0 {
-            for v in a.row_mut(r) {
+            for v in out.row_mut(r) {
                 *v /= sum;
             }
         }
     }
-    a
 }
 
 #[cfg(test)]
@@ -219,6 +217,7 @@ mod tests {
     use super::*;
     use crate::encoder::Encoder;
     use fexiot_graph::{CorpusConfig, CorpusGenerator, CorpusIndex, FeatureConfig, GraphBuilder};
+    use fexiot_tensor::autograd::Tape;
 
     fn hetero_graph(seed: u64) -> InteractionGraph {
         let mut rng = Rng::seed_from_u64(seed);

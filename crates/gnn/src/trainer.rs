@@ -5,7 +5,7 @@
 
 use crate::encoder::Encoder;
 use fexiot_graph::{runtime_slot as slot, GraphDataset, InteractionGraph};
-use fexiot_tensor::autograd::Tape;
+use fexiot_tensor::autograd::{Forward, Tape};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::Adam;
 use fexiot_tensor::rng::Rng;

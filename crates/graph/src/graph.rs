@@ -79,82 +79,65 @@ impl InteractionGraph {
         adj
     }
 
-    /// Undirected neighbor lists (used by connectivity checks and GNN
-    /// message passing, which treats interaction edges symmetrically).
-    pub fn undirected_neighbors(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for &(a, b) in &self.edges {
-            if a != b {
-                adj[a].push(b);
-                adj[b].push(a);
+    /// Writes the symmetrically normalized adjacency with self-loops,
+    /// `D^{-1/2} (A + I) D^{-1/2}`, for GCN propagation, into `out`
+    /// (reshaped to `n × n`): `A + I` first, then each row's degree from
+    /// it, then every entry scaled in place as
+    /// `(d_i^{-1/2} · a_ij) · d_j^{-1/2}`. A row's `d_i^{-1/2}` waits on its
+    /// diagonal, whose `A + I` entry is 1, until every degree is known.
+    pub fn normalized_adjacency_into(&self, out: &mut Matrix) {
+        let n = self.nodes.len();
+        self.gin_adjacency_into(0.0, out);
+        for i in 0..n {
+            let d: f64 = out.row(i).iter().sum();
+            out[(i, i)] = if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
+        }
+        for i in 0..n {
+            let di = out[(i, i)];
+            for j in (0..n).filter(|&j| j != i) {
+                out[(i, j)] = di * out[(i, j)] * out[(j, j)];
             }
         }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
+        for i in 0..n {
+            let di = out[(i, i)];
+            out[(i, i)] = di * 1.0 * di;
         }
-        adj
     }
 
-    /// Symmetrically normalized adjacency with self-loops,
-    /// `D^{-1/2} (A + I) D^{-1/2}`, for GCN propagation.
-    pub fn normalized_adjacency(&self) -> Matrix {
+    /// Writes the GIN aggregation matrix `A + (1 + eps) I` (undirected,
+    /// eps = 0 gives GIN-0) into `out`, reshaped to `n × n`.
+    pub fn gin_adjacency_into(&self, eps: f64, out: &mut Matrix) {
         let n = self.nodes.len();
-        let mut a = Matrix::eye(n);
-        for &(u, v) in &self.edges {
-            if u != v {
-                a[(u, v)] = 1.0;
-                a[(v, u)] = 1.0;
-            }
-        }
-        let mut deg_inv_sqrt = vec![0.0; n];
+        out.reset(n, n);
         for i in 0..n {
-            let d: f64 = (0..n).map(|j| a[(i, j)]).sum();
-            deg_inv_sqrt[i] = if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
-        }
-        let mut out = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                out[(i, j)] = deg_inv_sqrt[i] * a[(i, j)] * deg_inv_sqrt[j];
-            }
-        }
-        out
-    }
-
-    /// GIN aggregation matrix `A + (1 + eps) I` (undirected, eps = 0 gives GIN-0).
-    pub fn gin_adjacency(&self, eps: f64) -> Matrix {
-        let n = self.nodes.len();
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            a[(i, i)] = 1.0 + eps;
+            out[(i, i)] = 1.0 + eps;
         }
         for &(u, v) in &self.edges {
             if u != v {
-                a[(u, v)] = 1.0;
-                a[(v, u)] = 1.0;
+                out[(u, v)] = 1.0;
+                out[(v, u)] = 1.0;
             }
         }
-        a
     }
 
-    /// Node feature matrix; all nodes must share a feature dimension.
+    /// Writes the node feature matrix into `out`, reshaped to
+    /// `n × d`; all nodes must share a feature dimension.
     ///
     /// # Panics
-    /// Panics if node feature dims differ (heterogeneous graphs must go
-    /// through per-type projection first).
-    pub fn feature_matrix(&self) -> Matrix {
+    /// Panics on an empty graph, or if node feature dims differ
+    /// (heterogeneous graphs must go through per-type projection first).
+    pub fn feature_matrix_into(&self, out: &mut Matrix) {
         assert!(!self.nodes.is_empty(), "feature_matrix: empty graph");
         let d = self.nodes[0].features.len();
-        let mut data = Vec::with_capacity(self.nodes.len() * d);
-        for n in &self.nodes {
+        out.reset(self.nodes.len(), d);
+        for (i, n) in self.nodes.iter().enumerate() {
             assert_eq!(
                 n.features.len(),
                 d,
                 "heterogeneous feature dims; project first"
             );
-            data.extend_from_slice(&n.features);
+            out.row_mut(i).copy_from_slice(&n.features);
         }
-        Matrix::from_vec(self.nodes.len(), d, data)
     }
 
     /// The set of platforms present in this graph.
@@ -166,27 +149,10 @@ impl InteractionGraph {
     }
 
     /// True if the induced subgraph over `keep` (node indices) is connected
-    /// when edges are viewed as undirected. Empty sets are not connected.
+    /// when edges are viewed as undirected. Empty sets are not connected; a
+    /// repeated index counts once.
     pub fn is_connected_subset(&self, keep: &[usize]) -> bool {
-        if keep.is_empty() {
-            return false;
-        }
-        let in_set = |x: usize| keep.contains(&x);
-        let adj = self.undirected_neighbors();
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![keep[0]];
-        visited[keep[0]] = true;
-        let mut count = 0;
-        while let Some(u) = stack.pop() {
-            count += 1;
-            for &v in &adj[u] {
-                if in_set(v) && !visited[v] {
-                    visited[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        count == keep.len()
+        self.component_count_subset(keep) == 1
     }
 
     /// Number of connected components of the induced subgraph over `keep`
@@ -330,7 +296,8 @@ mod tests {
     #[test]
     fn normalized_adjacency_rows_are_finite_and_symmetric() {
         let g = chain(4);
-        let a = g.normalized_adjacency();
+        let mut a = Matrix::default();
+        g.normalized_adjacency_into(&mut a);
         assert!(a.is_finite());
         for i in 0..4 {
             for j in 0..4 {
@@ -370,6 +337,9 @@ mod tests {
         assert!(!g.is_connected_subset(&[0, 2]));
         assert!(!g.is_connected_subset(&[]));
         assert!(g.is_connected_subset(&[2]));
+        // A repeated index counts once, as `component_count_subset` counts it.
+        assert!(g.is_connected_subset(&[0, 0, 1]));
+        assert!(!g.is_connected_subset(&[0, 2, 2]));
     }
 
     #[test]
@@ -381,13 +351,30 @@ mod tests {
         assert_eq!(sub.nodes[0].rule.id, 1);
     }
 
+    /// Undirected neighbour lists, sorted and deduplicated, without
+    /// self-loops: what the search oracles below walk.
+    fn undirected_neighbors(g: &InteractionGraph) -> Vec<Vec<usize>> {
+        let mut adj = vec![Vec::new(); g.nodes.len()];
+        for &(a, b) in &g.edges {
+            if a != b {
+                adj[a].push(b);
+                adj[b].push(a);
+            }
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+        }
+        adj
+    }
+
     /// Components by breadth-first search over rebuilt neighbour lists,
     /// as `component_count_subset` counted them before union-find.
     fn components_by_search(g: &InteractionGraph, keep: &[usize]) -> usize {
         if keep.is_empty() {
             return 0;
         }
-        let adj = g.undirected_neighbors();
+        let adj = undirected_neighbors(g);
         let mut visited = vec![false; g.nodes.len()];
         let in_set = |x: usize| keep.contains(&x);
         let mut components = 0;
@@ -410,6 +397,76 @@ mod tests {
         components
     }
 
+    /// The search `is_connected_subset` ran before it counted components:
+    /// it compares the distinct nodes reached with `keep.len()`, so it
+    /// holds only for distinct indices.
+    fn connected_by_search(g: &InteractionGraph, keep: &[usize]) -> bool {
+        if keep.is_empty() {
+            return false;
+        }
+        let in_set = |x: usize| keep.contains(&x);
+        let adj = undirected_neighbors(g);
+        let mut visited = vec![false; g.nodes.len()];
+        let mut stack = vec![keep[0]];
+        visited[keep[0]] = true;
+        let mut count = 0;
+        while let Some(u) = stack.pop() {
+            count += 1;
+            for &v in &adj[u] {
+                if in_set(v) && !visited[v] {
+                    visited[v] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        count == keep.len()
+    }
+
+    /// `D^{-1/2} (A + I) D^{-1/2}` as it was built before it took one
+    /// buffer: `A + I` in one matrix, each degree summed over its row, the
+    /// scaled entries in a second matrix.
+    fn normalized_adjacency(g: &InteractionGraph) -> Matrix {
+        let n = g.nodes.len();
+        let mut a = Matrix::eye(n);
+        for &(u, v) in &g.edges {
+            if u != v {
+                a[(u, v)] = 1.0;
+                a[(v, u)] = 1.0;
+            }
+        }
+        let mut deg_inv_sqrt = vec![0.0; n];
+        for i in 0..n {
+            let d: f64 = (0..n).map(|j| a[(i, j)]).sum();
+            deg_inv_sqrt[i] = if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
+        }
+        let mut out = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                out[(i, j)] = deg_inv_sqrt[i] * a[(i, j)] * deg_inv_sqrt[j];
+            }
+        }
+        out
+    }
+
+    /// A chain's nodes on 1–79 nodes with random directed edges instead:
+    /// self-loops, repeats, both directions and isolated nodes all occur.
+    fn random_graph(rng: &mut Rng) -> InteractionGraph {
+        let n = rng.range(1, 80);
+        let mut g = chain(n);
+        let density = rng.uniform(0.0, 3.0 / n as f64);
+        g.edges.clear();
+        for _ in 0..n * n {
+            if rng.bool(density) {
+                g.edges.push((rng.usize(n), rng.usize(n)));
+            }
+        }
+        g
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -419,15 +476,8 @@ mod tests {
         #[test]
         fn component_count_matches_search(seed in 0u64..1_000_000) {
             let mut rng = Rng::seed_from_u64(seed);
-            let n = rng.range(1, 80);
-            let mut g = chain(n);
-            let density = rng.uniform(0.0, 3.0 / n as f64);
-            g.edges.clear();
-            for _ in 0..n * n {
-                if rng.bool(density) {
-                    g.edges.push((rng.usize(n), rng.usize(n)));
-                }
-            }
+            let g = random_graph(&mut rng);
+            let n = g.node_count();
             for _ in 0..8 {
                 let p = rng.f64();
                 let mut keep: Vec<usize> = (0..n).filter(|_| rng.bool(p)).collect();
@@ -441,12 +491,41 @@ mod tests {
                 );
             }
         }
+
+        // On distinct indices, in any order, the component count answers
+        // what the old search answered.
+        #[test]
+        fn connected_subset_matches_search(seed in 0u64..1_000_000) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let g = random_graph(&mut rng);
+            let n = g.node_count();
+            for _ in 0..8 {
+                let p = rng.f64();
+                let mut keep: Vec<usize> = (0..n).filter(|_| rng.bool(p)).collect();
+                rng.shuffle(&mut keep);
+                prop_assert_eq!(g.is_connected_subset(&keep), connected_by_search(&g, &keep));
+            }
+        }
+
+        // The one-buffer build has the two-buffer build's bits, into a
+        // buffer that last held another graph's matrix.
+        #[test]
+        fn normalized_adjacency_into_equals_the_two_buffer_build(seed in 0u64..1_000_000) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut out = Matrix::full(7, 3, f64::NAN);
+            for _ in 0..3 {
+                let g = random_graph(&mut rng);
+                g.normalized_adjacency_into(&mut out);
+                prop_assert_eq!(bits(&out), bits(&normalized_adjacency(&g)));
+            }
+        }
     }
 
     #[test]
     fn feature_matrix_shape() {
         let g = chain(3);
-        let x = g.feature_matrix();
+        let mut x = Matrix::full(1, 9, 5.0);
+        g.feature_matrix_into(&mut x);
         assert_eq!(x.shape(), (3, 2));
         assert_eq!(x[(2, 0)], 2.0);
     }
@@ -454,7 +533,8 @@ mod tests {
     #[test]
     fn gin_adjacency_diagonal() {
         let g = chain(3);
-        let a = g.gin_adjacency(0.5);
+        let mut a = Matrix::full(4, 4, 9.0);
+        g.gin_adjacency_into(0.5, &mut a);
         assert!((a[(0, 0)] - 1.5).abs() < 1e-12);
         assert_eq!(a[(0, 1)], 1.0);
         assert_eq!(a[(1, 0)], 1.0);

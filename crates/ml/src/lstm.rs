@@ -1,7 +1,7 @@
 //! A single-layer LSTM sequence model over the autograd tape — the substrate
 //! for the DeepLog baseline (paper Table II).
 
-use fexiot_tensor::autograd::{Tape, Var};
+use fexiot_tensor::autograd::{Forward, Tape, Var};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::Adam;
 use fexiot_tensor::rng::Rng;

@@ -2,7 +2,7 @@
 //! stand-in used for correlation discovery, paper Fig. 3).
 
 use crate::metrics::Metrics;
-use fexiot_tensor::autograd::Tape;
+use fexiot_tensor::autograd::{Forward, Tape};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::Adam;
 use fexiot_tensor::rng::Rng;

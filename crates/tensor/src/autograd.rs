@@ -6,13 +6,18 @@
 //! formed only for nodes that a parameter feeds: a constant, and an op whose
 //! inputs are all constants (a graph's adjacency times its feature matrix),
 //! cannot pass a gradient on to a parameter, so backward skips them and
-//! [`Grads::get`] on one returns zeros. Recording stays free of this
-//! bookkeeping, so forward-only tapes (inference, explanation) pay nothing
-//! for it.
+//! [`Grads::get`] on one returns zeros.
 //!
 //! The op set is deliberately small — exactly what the GCN/GIN/MAGNN encoders,
 //! the MLP, and the DeepLog LSTM need — and every rule is pinned down by a
 //! finite-difference test in this module.
+//!
+//! The ops the GNN encoders use form the [`Forward`] trait, so one forward
+//! body runs on either executor: the tape, which records for training, or
+//! the recording-free [`Eval`](crate::eval::Eval), which infers in reused
+//! buffers. Each of those ops is one `Matrix` function writing into a given
+//! buffer, called from the trait's one definition of the op, so the two
+//! executors give the same bits.
 //!
 //! Parameters may be owned or borrowed: a tape over `&'p Matrix`
 //! parameters reads a model's weights in place, so a forward pass copies no
@@ -23,7 +28,7 @@ use std::borrow::Cow;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Var(usize);
+pub struct Var(pub(crate) usize);
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -99,6 +104,133 @@ impl Op {
     }
 }
 
+/// An op as a recording executor stores it for its backward pass. Only
+/// this crate makes one; an executor that does not record never asks for
+/// it.
+pub struct Record(Op);
+
+/// The ops a forward pass is written in, run by either executor: [`Tape`]
+/// records each op for [`Tape::backward`], and
+/// [`Eval`](crate::eval::Eval) only computes, into buffers it reuses. Each
+/// op below is defined once, as a call to one `Matrix` function that writes
+/// into the buffer [`Forward::apply`] hands it, so both executors compute
+/// every op with the same arithmetic, term for term.
+pub trait Forward {
+    /// Value of a var.
+    fn value(&self, v: Var) -> &Matrix;
+
+    /// Runs one op: `compute` writes the op's value into a buffer of any
+    /// shape and contents, reading its inputs through [`Forward::value`].
+    /// A recording executor stores `record()` with the value.
+    fn apply(
+        &mut self,
+        record: impl FnOnce() -> Record,
+        compute: impl FnOnce(&Self, &mut Matrix),
+    ) -> Var;
+
+    /// A constant (no gradient tracked) that `fill` writes, shape and every
+    /// entry, into a buffer of any shape and contents.
+    fn constant_with(&mut self, fill: impl FnOnce(&mut Matrix)) -> Var {
+        self.apply(|| Record(Op::Const), |_, out| fill(out))
+    }
+
+    fn matmul(&mut self, a: Var, b: Var) -> Var {
+        self.apply(
+            || Record(Op::MatMul(a.0, b.0)),
+            |x, out| x.value(a).matmul_into(x.value(b), out),
+        )
+    }
+
+    fn add(&mut self, a: Var, b: Var) -> Var {
+        self.apply(
+            || Record(Op::Add(a.0, b.0)),
+            |x, out| x.value(a).zip_into(x.value(b), out, |p, q| p + q),
+        )
+    }
+
+    /// Elementwise `a / b` (equal shapes). The caller must keep `b` away
+    /// from zero (e.g. softmax denominators are strictly positive).
+    fn div(&mut self, a: Var, b: Var) -> Var {
+        self.apply(
+            || Record(Op::Div(a.0, b.0)),
+            |x, out| x.value(a).zip_into(x.value(b), out, |p, q| p / q),
+        )
+    }
+
+    fn relu(&mut self, a: Var) -> Var {
+        self.apply(
+            || Record(Op::Relu(a.0)),
+            |x, out| x.value(a).map_into(out, |v| v.max(0.0)),
+        )
+    }
+
+    fn tanh(&mut self, a: Var) -> Var {
+        self.apply(
+            || Record(Op::Tanh(a.0)),
+            |x, out| x.value(a).map_into(out, f64::tanh),
+        )
+    }
+
+    fn exp(&mut self, a: Var) -> Var {
+        self.apply(
+            || Record(Op::Exp(a.0)),
+            |x, out| x.value(a).map_into(out, f64::exp),
+        )
+    }
+
+    fn mean_rows(&mut self, a: Var) -> Var {
+        self.apply(
+            || Record(Op::MeanRows(a.0)),
+            |x, out| x.value(a).mean_rows_into(out),
+        )
+    }
+
+    /// `(n,d) + (1,d)` with the row vector broadcast to every row.
+    fn add_row_broadcast(&mut self, a: Var, row: Var) -> Var {
+        self.apply(
+            || Record(Op::AddRowBroadcast(a.0, row.0)),
+            |x, out| x.value(a).add_row_broadcast_into(x.value(row), out),
+        )
+    }
+
+    /// `a * s` where `s` is a `(1,1)` node (scalar gate / attention weight).
+    fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
+        self.apply(
+            || Record(Op::MulScalarVar(a.0, s.0)),
+            |x, out| {
+                let sv = x.value(s);
+                assert_eq!(sv.shape(), (1, 1), "mul_scalar_var: scalar must be 1x1");
+                let sv = sv[(0, 0)];
+                x.value(a).map_into(out, |v| v * sv);
+            },
+        )
+    }
+
+    /// Places rows: a `rows × d` matrix of `+0.0` into whose row
+    /// `parts[p].1[r]` row `r` of `parts[p].0` is added, every part `d` wide
+    /// ([`Matrix::place_rows_into`]). The backward pass gathers the rows of
+    /// the gradient back to each part.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty, the widths differ, a part's row count is
+    /// not its index count, or an index is not below `rows`.
+    fn place_rows<I: AsRef<[usize]>>(&mut self, rows: usize, parts: &[(Var, I)]) -> Var {
+        self.apply(
+            || {
+                let parts = parts
+                    .iter()
+                    .map(|(src, idx)| (src.0, idx.as_ref().to_vec()))
+                    .collect();
+                Record(Op::PlaceRows(parts))
+            },
+            |x, out| {
+                let parts = parts.iter().map(|(src, idx)| (x.value(*src), idx.as_ref()));
+                Matrix::place_rows_into(rows, parts, out);
+            },
+        )
+    }
+}
+
 struct Node<'p> {
     op: Op,
     value: Cow<'p, Matrix>,
@@ -165,11 +297,6 @@ impl<'p> Tape<'p> {
         self.nodes.is_empty()
     }
 
-    /// Value of a node.
-    pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
-    }
-
     fn push(&mut self, op: Op, value: impl Into<Cow<'p, Matrix>>) -> Var {
         self.nodes.push(Node {
             op,
@@ -189,16 +316,6 @@ impl<'p> Tape<'p> {
         self.push(Op::Param, m)
     }
 
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
-        self.push(Op::MatMul(a.0, b.0), v)
-    }
-
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).add(self.value(b));
-        self.push(Op::Add(a.0, b.0), v)
-    }
-
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).sub(self.value(b));
         self.push(Op::Sub(a.0, b.0), v)
@@ -207,13 +324,6 @@ impl<'p> Tape<'p> {
     pub fn hadamard(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).hadamard(self.value(b));
         self.push(Op::Hadamard(a.0, b.0), v)
-    }
-
-    /// Elementwise `a / b` (equal shapes). The caller must keep `b` away
-    /// from zero (e.g. softmax denominators are strictly positive).
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x / y);
-        self.push(Op::Div(a.0, b.0), v)
     }
 
     pub fn scale(&mut self, a: Var, s: f64) -> Var {
@@ -226,29 +336,9 @@ impl<'p> Tape<'p> {
         self.push(Op::AddScalar(a.0), v)
     }
 
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        self.push(Op::Relu(a.0), v)
-    }
-
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
         self.push(Op::Sigmoid(a.0), v)
-    }
-
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f64::tanh);
-        self.push(Op::Tanh(a.0), v)
-    }
-
-    pub fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f64::exp);
-        self.push(Op::Exp(a.0), v)
-    }
-
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let v = self.value(a).mean_rows();
-        self.push(Op::MeanRows(a.0), v)
     }
 
     pub fn sum_all(&mut self, a: Var) -> Var {
@@ -261,35 +351,9 @@ impl<'p> Tape<'p> {
         self.push(Op::MeanAll(a.0), v)
     }
 
-    /// `(n,d) + (1,d)` with the row vector broadcast to every row.
-    pub fn add_row_broadcast(&mut self, a: Var, row: Var) -> Var {
-        let (m, r) = (self.value(a), self.value(row));
-        assert_eq!(r.rows(), 1, "add_row_broadcast: rhs must be a row vector");
-        assert_eq!(m.cols(), r.cols(), "add_row_broadcast: width mismatch");
-        let mut out = m.clone();
-        for i in 0..out.rows() {
-            for (o, &b) in out.row_mut(i).iter_mut().zip(r.row(0)) {
-                *o += b;
-            }
-        }
-        self.push(Op::AddRowBroadcast(a.0, row.0), out)
-    }
-
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let v = Matrix::hstack(&[self.value(a), self.value(b)]);
         self.push(Op::ConcatCols(a.0, b.0), v)
-    }
-
-    /// `a * s` where `s` is a `(1,1)` node (scalar gate / attention weight).
-    pub fn mul_scalar_var(&mut self, a: Var, s: Var) -> Var {
-        assert_eq!(
-            self.value(s).shape(),
-            (1, 1),
-            "mul_scalar_var: scalar must be 1x1"
-        );
-        let sv = self.value(s)[(0, 0)];
-        let v = self.value(a).scale(sv);
-        self.push(Op::MulScalarVar(a.0, s.0), v)
     }
 
     /// Numerically stable row-wise softmax.
@@ -349,37 +413,6 @@ impl<'p> Tape<'p> {
             },
             Matrix::from_vec(1, 1, vec![loss]),
         )
-    }
-
-    /// Places rows: a `rows × d` matrix of `+0.0` into whose row
-    /// `parts[p].1[r]` row `r` of `parts[p].0` is added, every part `d` wide.
-    /// This is `Σ_p S_p · parts[p].0` for the 0/1 scatter matrices `S_p`,
-    /// entry for entry, without their products: a row placed once holds
-    /// `0.0 + v`. The backward pass gathers the rows of the gradient back to
-    /// each part.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty, the widths differ, a part's row count is
-    /// not its index count, or an index is not below `rows`.
-    pub fn place_rows(&mut self, rows: usize, parts: Vec<(Var, Vec<usize>)>) -> Var {
-        let d = match parts.first() {
-            Some((src, _)) => self.value(*src).cols(),
-            None => panic!("place_rows: no parts"),
-        };
-        let mut out = Matrix::zeros(rows, d);
-        for (src, idx) in &parts {
-            let v = self.value(*src);
-            assert_eq!(v.cols(), d, "place_rows: part widths differ");
-            assert_eq!(v.rows(), idx.len(), "place_rows: part rows != indices");
-            for (r, &dst) in idx.iter().enumerate() {
-                assert!(dst < rows, "place_rows: row {dst} out of {rows}");
-                for (o, &x) in out.row_mut(dst).iter_mut().zip(v.row(r)) {
-                    *o += x;
-                }
-            }
-        }
-        let parts = parts.into_iter().map(|(src, idx)| (src.0, idx)).collect();
-        self.push(Op::PlaceRows(parts), out)
     }
 
     /// Convenience: squared Frobenius norm of the difference of two vars, as (1,1).
@@ -617,6 +650,22 @@ impl<'p> Tape<'p> {
             fed.push(marked);
         }
         fed
+    }
+}
+
+impl Forward for Tape<'_> {
+    fn value(&self, v: Var) -> &Matrix {
+        &self.nodes[v.0].value
+    }
+
+    fn apply(
+        &mut self,
+        record: impl FnOnce() -> Record,
+        compute: impl FnOnce(&Self, &mut Matrix),
+    ) -> Var {
+        let mut value = Matrix::default();
+        compute(self, &mut value);
+        self.push(record().0, value)
     }
 }
 
@@ -878,7 +927,7 @@ mod tests {
             move |t, p| {
                 let o = t.constant(other.clone());
                 // Row 5 receives nothing; row 1 receives a row of each part.
-                let placed = t.place_rows(6, vec![(p, vec![4, 1]), (o, vec![0, 1, 3])]);
+                let placed = t.place_rows(6, &[(p, vec![4, 1]), (o, vec![0, 1, 3])]);
                 let c = t.constant(coef.clone());
                 let h = t.hadamard(placed, c);
                 let sq = t.hadamard(h, h);
@@ -901,7 +950,7 @@ mod tests {
         }
         let mut tape = Tape::new();
         let v = tape.param(v0.clone());
-        let placed = tape.place_rows(4, vec![(v, idx)]);
+        let placed = tape.place_rows(4, &[(v, idx)]);
         let expect = Matrix::from_fn(4, 3, |i, j| match i {
             2 => 0.0 + v0[(0, j)],
             0 => 0.0 + v0[(1, j)],

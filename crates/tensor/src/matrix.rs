@@ -9,8 +9,9 @@ use crate::rng::Rng;
 
 mod kernel;
 
-/// A dense `rows x cols` matrix stored in row-major order.
-#[derive(Clone, PartialEq)]
+/// A dense `rows x cols` matrix stored in row-major order. The default is
+/// the empty `0 x 0` matrix, which allocates nothing.
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -60,6 +61,15 @@ impl Matrix {
             cols,
             data: vec![v; rows * cols],
         }
+    }
+
+    /// Reshapes `self` to `rows x cols` with every entry `+0.0`, reusing its
+    /// allocation: the buffer form of [`Matrix::zeros`].
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Identity matrix of size `n`.
@@ -224,12 +234,23 @@ impl Matrix {
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] written into `out`, whatever its shape and
+    /// contents were.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions disagree.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.product(self.rows, self.cols, 1, rhs)
+        self.product(self.rows, self.cols, 1, rhs, out);
     }
 
     /// `self · rhsᵀ`, bit-identical to `self.matmul(&rhs.transpose())`,
@@ -258,20 +279,30 @@ impl Matrix {
             "matmul_tn: ({}x{})ᵀ * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        self.product(self.cols, 1, self.cols, rhs)
+        let mut out = Matrix::default();
+        self.product(self.cols, 1, self.cols, rhs, &mut out);
+        out
     }
 
-    /// `L · rhs`, where `L` has `rows` rows and entry `(i, k)` of `L` is
-    /// `self.data[i * row_stride + k * k_stride]`, on the widest kernel tier.
-    fn product(&self, rows: usize, row_stride: usize, k_stride: usize, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(rows, rhs.cols);
+    /// Writes `L · rhs` into `out`, where `L` has `rows` rows and entry
+    /// `(i, k)` of `L` is `self.data[i * row_stride + k * k_stride]`, on the
+    /// widest kernel tier. `out` is zero-filled first: the kernel leaves it
+    /// untouched when the inner dimension is empty.
+    fn product(
+        &self,
+        rows: usize,
+        row_stride: usize,
+        k_stride: usize,
+        rhs: &Matrix,
+        out: &mut Matrix,
+    ) {
+        out.reset(rows, rhs.cols);
         let lhs = kernel::Lhs {
             data: &self.data,
             row_stride,
             k_stride,
         };
         kernel::Tier::widest().product(lhs, &rhs.data, rhs.cols, &mut out.data);
-        out
     }
 
     /// Transposed copy.
@@ -289,15 +320,33 @@ impl Matrix {
 
     /// Elementwise application of `f`.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
+        let mut out = Matrix::default();
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// [`Matrix::map`] written into `out`, whatever its shape and contents
+    /// were.
+    pub fn map_into(&self, out: &mut Matrix, f: impl Fn(f64) -> f64) {
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.extend(self.data.iter().map(|&v| f(v)));
     }
 
     /// Combines two equal-shaped matrices elementwise.
     pub fn zip(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+        let mut out = Matrix::default();
+        self.zip_into(rhs, &mut out, f);
+        out
+    }
+
+    /// [`Matrix::zip`] written into `out`, whatever its shape and contents
+    /// were.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn zip_into(&self, rhs: &Matrix, out: &mut Matrix, f: impl Fn(f64, f64) -> f64) {
         assert_eq!(
             self.shape(),
             rhs.shape(),
@@ -305,16 +354,11 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data
+            .extend(self.data.iter().zip(&rhs.data).map(|(&a, &b)| f(a, b)));
     }
 
     /// `self + rhs` elementwise.
@@ -361,9 +405,17 @@ impl Matrix {
 
     /// Column means as a `1 x cols` row vector.
     pub fn mean_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        let mut out = Matrix::default();
+        self.mean_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::mean_rows`] written into `out`, whatever its shape and
+    /// contents were.
+    pub fn mean_rows_into(&self, out: &mut Matrix) {
+        out.reset(1, self.cols);
         if self.rows == 0 {
-            return out;
+            return;
         }
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -374,7 +426,55 @@ impl Matrix {
         for v in &mut out.data {
             *v *= inv;
         }
-        out
+    }
+
+    /// Writes `self + row` into `out`, the `1 x cols` `row` added to every
+    /// row of `self`.
+    ///
+    /// # Panics
+    /// Panics if `row` is not one row as wide as `self`.
+    pub fn add_row_broadcast_into(&self, row: &Matrix, out: &mut Matrix) {
+        assert_eq!(row.rows, 1, "add_row_broadcast: rhs must be a row vector");
+        assert_eq!(self.cols, row.cols, "add_row_broadcast: width mismatch");
+        out.rows = self.rows;
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.extend_from_slice(&self.data);
+        if self.cols > 0 {
+            for r in out.data.chunks_exact_mut(self.cols) {
+                for (o, &b) in r.iter_mut().zip(&row.data) {
+                    *o += b;
+                }
+            }
+        }
+    }
+
+    /// Writes into `out` a `rows x d` matrix of `+0.0` into whose row
+    /// `idx[r]` row `r` of each part's matrix is added, part after part,
+    /// every part `d` wide. This is `Σ_p S_p · parts[p]` for the 0/1 scatter
+    /// matrices `S_p`, entry for entry, without their products: a row placed
+    /// once holds `0.0 + v`.
+    ///
+    /// # Panics
+    /// Panics if there is no part, the widths differ, a part's row count is
+    /// not its index count, or an index is not below `rows`.
+    pub fn place_rows_into<'a>(
+        rows: usize,
+        mut parts: impl Iterator<Item = (&'a Matrix, &'a [usize])>,
+        out: &mut Matrix,
+    ) {
+        let first = parts.next().expect("place_rows: no parts");
+        out.reset(rows, first.0.cols);
+        for (v, idx) in std::iter::once(first).chain(parts) {
+            assert_eq!(v.cols, out.cols, "place_rows: part widths differ");
+            assert_eq!(v.rows, idx.len(), "place_rows: part rows != indices");
+            for (r, &dst) in idx.iter().enumerate() {
+                assert!(dst < rows, "place_rows: row {dst} out of {rows}");
+                for (o, &x) in out.row_mut(dst).iter_mut().zip(v.row(r)) {
+                    *o += x;
+                }
+            }
+        }
     }
 
     /// Column sums as a `1 x cols` row vector.

@@ -190,7 +190,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autograd::Tape;
+    use crate::autograd::{Forward, Tape};
     use crate::rng::Rng;
 
     /// Both optimizers should drive a convex quadratic toward its minimum.

@@ -2,7 +2,7 @@
 //! matrix type, distribution invariants of the RNG, and autograd consistency
 //! under random compositions.
 
-use fexiot_tensor::{linalg, Matrix, Rng, Tape};
+use fexiot_tensor::{linalg, Forward, Matrix, Rng, Tape};
 use proptest::prelude::*;
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
