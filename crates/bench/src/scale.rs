@@ -1,6 +1,8 @@
 //! Experiment scaling: every bin runs at a laptop-friendly default and at
 //! paper scale when `FEXIOT_FULL=1` (or `--full`) is set.
 
+use fexiot_obs::cli::{parse_env, Flag, Kind, Spec};
+
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -11,29 +13,17 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `FEXIOT_FULL` plus an explicit argument slice:
-    /// `args` must contain only *boolean flag tokens* (a parser should have
-    /// consumed flag values already, so a literal `--full` passed as the
-    /// value of another flag is never misread as the scale switch).
-    pub fn from_args(args: &[String]) -> Scale {
-        let full_env = std::env::var("FEXIOT_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        if full_env || args.iter().any(|a| a == "--full") {
+    /// Reads the scale from `FEXIOT_FULL=1` or the `--full` switch, the one
+    /// flag an experiment bin takes; any other argument exits 2 with the
+    /// usage line.
+    pub fn from_env() -> Scale {
+        const FULL: Spec = Spec::new("", &[&[Flag::new("full", Kind::Switch, "")]]);
+        let args = parse_env(&FULL);
+        if args.has("full") || std::env::var("FEXIOT_FULL").is_ok_and(|v| v == "1") {
             Scale::Full
         } else {
             Scale::Small
         }
-    }
-
-    /// [`Scale::from_args`] over the process argv. Convenience for bins
-    /// whose only flag is `--full`; binaries with value-taking flags must
-    /// parse first and call [`Scale::from_args`] with the leftover boolean
-    /// tokens, otherwise `--some-flag --full`'s *value* position would be
-    /// scanned too.
-    pub fn from_env() -> Scale {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&argv)
     }
 
     /// Lowercase label used in machine-readable exports.
@@ -93,26 +83,5 @@ mod tests {
     fn pick_selects_by_scale() {
         assert_eq!(Scale::Small.pick(1, 100), 1);
         assert_eq!(Scale::Full.pick(1, 100), 100);
-    }
-
-    fn tokens(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn from_args_scans_only_the_given_slice() {
-        // The tests in this binary run without FEXIOT_FULL set; from_args
-        // then depends only on the slice.
-        if std::env::var("FEXIOT_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            return;
-        }
-        assert_eq!(Scale::from_args(&tokens(&[])), Scale::Small);
-        assert_eq!(Scale::from_args(&tokens(&["--full"])), Scale::Full);
-        // A `--full` that was a *value* of another flag never reaches the
-        // slice once the caller's parser consumed it.
-        assert_eq!(Scale::from_args(&tokens(&["--out-dir", "x"])), Scale::Small);
     }
 }

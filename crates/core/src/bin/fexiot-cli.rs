@@ -1,27 +1,12 @@
 //! `fexiot-cli` — drive the FexIoT pipeline from the command line.
 //!
-//! ```text
-//! fexiot-cli train    [--graphs N] [--seed S] [--encoder gin|gcn|magnn]
-//!                     [--out MODEL] [--store DIR]    # at least one sink
-//! fexiot-cli eval     (--model MODEL | --store DIR) [--graphs N] [--seed S]
-//!                     [--train-graphs N] [--train-seed S] [--encoder E]
-//! fexiot-cli detect   (--model MODEL | --store DIR) [--seed S]  # one fresh home
-//! fexiot-cli explain  (--model MODEL | --store DIR) [--seed S]  # one detection
-//! fexiot-cli federate [--clients N] [--rounds R] [--strategy fexiot|fedavg|fmtl|gcfl|local]
-//!                     [--dropout P] [--msg-loss P] [--straggler P] [--corrupt P]
-//!                     [--sample-frac F | --sample-k K]      # per-round cohort sampling
-//!                     [--aggregators N] [--failover reassign|skip]
-//!                     [--agg-dropout P] [--agg-crash P] [--agg-straggler P]
-//!                     [--quorum F] [--deadline-ticks T]     # quorum-gated rounds
-//!                     [--store DIR | --checkpoint-dir DIR]  # checkpoint + resume
-//! fexiot-cli serve    [--replay | --input FILE] [--model MODEL | --store DIR]
-//!                     [--homes N] [--home-size K] [--seed S] [--sim-scale M]
-//!                     [--shards N] [--mailbox-cap C] [--overflow block|shed]
-//!                     [--ingest-rate R] [--maintain-rate R] [--detect-rate R]
-//!                     [--round-events E] [--slow-shard I] [--record FILE]
-//! fexiot-cli store list --store DIR                  # inspect cached artifacts
-//! fexiot-cli store gc   --store DIR                  # drop broken entries / orphan blobs
-//! ```
+//! The commands are `train`, `eval`, `detect`, `explain` (one detection),
+//! `federate`, `serve`, `store list` (inspect cached artifacts) and
+//! `store gc` (drop broken entries and orphan blobs). Each command's flags
+//! are the rows of its entry in `COMMANDS` below, and the usage text is
+//! generated from them: run `fexiot-cli` alone to print it. An unknown,
+//! repeated, stray, valueless or out-of-range argument exits 2 naming it,
+//! before any work; a failed run exits 1, and a failed SLO rule exits 3.
 //!
 //! `--store DIR` opens the persistent artifact store (`fexiot-store`): a
 //! content-addressed blob directory under a versioned manifest, keyed by
@@ -78,163 +63,134 @@ use fexiot::{build_federation, warm, FederationConfig, FexIot, FexIotConfig};
 use fexiot_gnn::EncoderKind;
 use fexiot_graph::GraphDataset;
 use fexiot_ml::Metrics;
+use fexiot_obs::cli::Kind::{self, Choice, Int, Real, Text};
+use fexiot_obs::cli::{Args, Flag, Spec, OBS_FLAGS, THREADS};
 use fexiot_tensor::codec::fnv1a;
 use fexiot_tensor::Rng;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::process::ExitCode;
 
-struct Args {
-    values: Vec<(String, String)>,
-    command: String,
+const SEED: Flag = Flag::new("seed", Int(0), "S");
+const STORE: Flag = Flag::new("store", Text, "DIR");
+const ENCODER: Flag = Flag::new("encoder", Choice(&["gin", "gcn", "magnn"]), "");
+const DATA: &[Flag] = &[Flag::new("graphs", Int(1), "N"), SEED];
+const TRAIN: &[Flag] = &[ENCODER, Flag::new("out", Text, "MODEL"), STORE];
+/// The model file, or the `--store` registry entry for this identity.
+const MODEL: &[Flag] = &[
+    Flag::new("model", Text, "MODEL"),
+    STORE,
+    ENCODER,
+    Flag::new("train-seed", Int(0), "S"),
+    Flag::new("train-graphs", Int(1), "N"),
+];
+const UNIT: Kind = Real(Included(0.0), Included(1.0));
+
+const FEDERATE: &[Flag] = &[
+    Flag::new("clients", Int(1), "N"),
+    Flag::new("rounds", Int(0), "R"),
+    Flag::new(
+        "strategy",
+        Choice(&["fexiot", "fedavg", "fmtl", "gcfl", "local"]),
+        "",
+    ),
+    Flag::new("alpha", Real(Excluded(0.0), Unbounded), "A"),
+    Flag::new("dropout", UNIT, "P"),
+    Flag::new("msg-loss", UNIT, "P"),
+    Flag::new("straggler", UNIT, "P"),
+    Flag::new("corrupt", UNIT, "P"),
+    Flag::new("sample-frac", Real(Excluded(0.0), Included(1.0)), "F"),
+    Flag::new("sample-k", Int(1), "K"),
+    Flag::new("aggregators", Int(1), "N"),
+    Flag::new("failover", Choice(&["reassign", "skip"]), ""),
+    Flag::new("agg-dropout", UNIT, "P"),
+    Flag::new("agg-crash", UNIT, "P"),
+    Flag::new("agg-straggler", UNIT, "P"),
+    Flag::new("quorum", UNIT, "F"),
+    Flag::new("deadline-ticks", Int(1), "T"),
+    STORE,
+    Flag::new("checkpoint-dir", Text, "DIR"),
+];
+
+const SERVE: &[Flag] = &[
+    Flag::new("input", Text, "FILE"),
+    Flag::new("record", Text, "FILE"),
+    Flag::new("homes", Int(1), "N"),
+    Flag::new("home-size", Int(1), "K"),
+    SEED,
+    Flag::new("sim-scale", Int(1), "M"),
+    Flag::new("shards", Int(1), "N"),
+    Flag::new("mailbox-cap", Int(1), "C"),
+    Flag::new("overflow", Choice(&["block", "shed"]), ""),
+    Flag::new("ingest-rate", Int(1), "R"),
+    Flag::new("maintain-rate", Int(1), "R"),
+    Flag::new("detect-rate", Int(1), "R"),
+    Flag::new("round-events", Int(1), "E"),
+    Flag::new("slow-shard", Int(0), "I"),
+];
+
+/// Every command ends with the tables `&[THREADS], OBS_FLAGS`.
+const COMMANDS: &[Spec] = &[
+    Spec::new("train", &[DATA, TRAIN, &[THREADS], OBS_FLAGS]),
+    Spec::new("eval", &[DATA, MODEL, &[THREADS], OBS_FLAGS]),
+    Spec::new("detect", &[DATA, MODEL, &[THREADS], OBS_FLAGS]),
+    Spec::new("explain", &[DATA, MODEL, &[THREADS], OBS_FLAGS]),
+    Spec::new("federate", &[DATA, FEDERATE, &[THREADS], OBS_FLAGS]),
+    Spec::new("serve", &[SERVE, MODEL, &[THREADS], OBS_FLAGS]),
+    Spec::new("store list", &[&[STORE], &[THREADS], OBS_FLAGS]),
+    Spec::new("store gc", &[&[STORE], &[THREADS], OBS_FLAGS]),
+];
+
+/// Why a command did not succeed.
+enum Failure {
+    /// Bad input on the command line: exit 2 with the usage text.
+    Usage(String),
+    /// The run failed: exit 1.
+    Run(String),
 }
 
-impl Args {
-    fn parse() -> Option<Args> {
-        let mut argv = std::env::args().skip(1);
-        let mut command = argv.next()?;
-        let mut rest: Vec<String> = argv.collect();
-        // `store` takes an action word (`store list`, `store gc`) — the one
-        // place a positional is meaningful. Fold it into the command so the
-        // flag parser below stays positional-free.
-        if command == "store" {
-            if let Some(action) = rest.first().filter(|a| !a.starts_with("--")) {
-                command = format!("store {action}");
-                rest.remove(0);
-            }
-        }
-        Self::parse_from(command, rest)
-    }
-
-    /// Parses a flag list (everything after the subcommand). Split out from
-    /// [`Args::parse`] so tests can drive the parser without a process.
-    fn parse_from(command: String, mut argv: Vec<String>) -> Option<Args> {
-        let mut values = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = std::mem::take(&mut argv[i]);
-            if let Some(name) = key.strip_prefix("--") {
-                // A following `--token` (or nothing) means this flag is
-                // boolean, e.g. `--obs-summary`.
-                match argv.get(i + 1).filter(|v| !v.starts_with("--")) {
-                    Some(value) => {
-                        values.push((name.to_string(), value.clone()));
-                        i += 2;
-                    }
-                    None => {
-                        values.push((name.to_string(), String::new()));
-                        i += 1;
-                    }
-                }
-            } else {
-                eprintln!("unexpected argument: {key}");
-                return None;
-            }
-        }
-        Some(Args { values, command })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get_num(name).unwrap_or(default)
-    }
-
-    fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get_num(name).unwrap_or(default)
-    }
-
-    fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.get_num(name).unwrap_or(default)
-    }
-
-    /// A count flag that must be at least 1. Zero is a usage error like an
-    /// unparsable number, never clamped: the process exits 2 naming the flag.
-    fn get_positive(&self, name: &str, default: usize) -> usize {
-        let v = self.get_usize(name, default);
-        if v == 0 {
-            eprintln!("--{name} must be at least 1, got 0");
-            std::process::exit(2);
-        }
-        v
-    }
-
-    /// A real-valued flag that must satisfy `ok` (NaN fails every range).
-    /// A value outside it is a usage error, never clamped: the process exits
-    /// 2 naming the flag, the value and the `range`.
-    fn get_f64_in(&self, name: &str, default: f64, ok: fn(f64) -> bool, range: &str) -> f64 {
-        let v = self.get_f64(name, default);
-        if !ok(v) {
-            let raw = self.get(name).unwrap_or_default();
-            eprintln!("--{name} must be {range}, got {raw:?}");
-            std::process::exit(2);
-        }
-        v
-    }
-
-    /// A probability or fraction flag: a value in [0, 1].
-    fn get_unit(&self, name: &str, default: f64) -> f64 {
-        self.get_f64_in(name, default, |p| (0.0..=1.0).contains(&p), "in [0, 1]")
-    }
-
-    /// A numeric flag's value, `None` when the flag is absent. A value that
-    /// does not parse is a usage error, never a silent default: the process
-    /// exits 2 naming the flag and the value.
-    fn get_num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        let v = self.get(name)?;
-        match v.parse() {
-            Ok(x) => Some(x),
-            Err(_) => {
-                eprintln!("--{name} expects a number, got {v:?}");
-                std::process::exit(2);
-            }
-        }
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Run(e)
     }
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  fexiot-cli train    [--graphs N] [--seed S] [--encoder gin|gcn|magnn] [--out MODEL] [--store DIR]\n  fexiot-cli eval     (--model MODEL | --store DIR) [--graphs N] [--seed S]\n                      [--train-graphs N] [--train-seed S] [--encoder E]  (registry identity)\n  fexiot-cli detect   (--model MODEL | --store DIR) [--seed S]\n  fexiot-cli explain  (--model MODEL | --store DIR) [--seed S]\n  fexiot-cli federate [--clients N] [--rounds R] [--strategy fexiot|fedavg|fmtl|gcfl|local]\n                      [--graphs N] [--seed S] [--alpha A]\n                      [--dropout P] [--msg-loss P] [--straggler P] [--corrupt P]\n                      [--sample-frac F | --sample-k K]  (per-round cohort sampling)\n                      [--aggregators N] [--failover reassign|skip]\n                      [--agg-dropout P] [--agg-crash P] [--agg-straggler P]\n                      [--quorum F] [--deadline-ticks T]  (quorum-gated rounds)\n                      [--store DIR | --checkpoint-dir DIR]  (checkpoints; resumes from the latest round)\n  fexiot-cli serve    [--replay | --input FILE] [--model MODEL | --store DIR]  (streaming detection)\n                      [--homes N] [--home-size K] [--seed S] [--sim-scale M]\n                      [--shards N] [--mailbox-cap C] [--overflow block|shed]\n                      [--ingest-rate R] [--maintain-rate R] [--detect-rate R]\n                      [--round-events E] [--slow-shard I] [--record FILE]\n  fexiot-cli store list --store DIR  (list cached artifacts)\n  fexiot-cli store gc   --store DIR  (drop broken entries and orphan blobs)\n  any subcommand: [--threads N]  (parallel width; default FEXIOT_THREADS or all cores)\n                  [--store DIR]  (artifact store: warm-start datasets/models; see DESIGN.md)\n                  [--obs-summary] [--obs-out DIR] [--obs-flame FILE]\n                  [--obs-stream FILE] [--obs-stream-timing include|exclude]\n                  [--obs-trace FILE] [--obs-trace-timing include|exclude]  (observability export)"
-    );
-    ExitCode::from(2)
+fn usage(e: impl Into<String>) -> Failure {
+    Failure::Usage(e.into())
+}
+
+fn seed(args: &Args) -> u64 {
+    args.num("seed").unwrap_or(42)
+}
+
+fn encoder(args: &Args, default: &str) -> EncoderKind {
+    warm::parse_encoder(args.value("encoder").unwrap_or(default))
+        .expect("the flag table admits only known encoders")
 }
 
 /// Store-aware dataset builder: warm-loads the featurized graphs from the
 /// artifact store when possible, generates (and caches) them otherwise.
 /// Warm notes go to stderr only — stdout stays byte-identical either way.
-/// Callers read `graphs` with [`Args::get_positive`] before any other work,
-/// so a zero count exits 2 before a model is loaded or trained.
 fn make_dataset(
     args: &Args,
     graphs: usize,
     hetero: bool,
     store: &mut Option<Store>,
 ) -> GraphDataset {
-    let out =
-        warm::load_or_generate_dataset(store.as_mut(), args.get_u64("seed", 42), graphs, hetero);
+    let out = warm::load_or_generate_dataset(store.as_mut(), seed(args), graphs, hetero);
     for note in &out.notes {
         eprintln!("{note}");
     }
     out.value
 }
 
-fn load_model(args: &Args) -> Result<FexIot, String> {
-    let path = args.get("model").ok_or("--model is required")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    FexIot::load_from_bytes(&bytes).map_err(|e| format!("corrupt model {path}: {e}"))
-}
-
-/// Opens the artifact store named by `--store DIR` (None without the flag).
-fn open_store(args: &Args) -> Result<Option<Store>, String> {
-    let Some(dir) = args.get("store") else {
-        return Ok(None);
+/// Opens the artifact store named by `--store DIR` or its alias
+/// `--checkpoint-dir DIR` (None without either).
+fn open_store(args: &Args) -> Result<Option<Store>, Failure> {
+    let dir = match (args.value("store"), args.value("checkpoint-dir")) {
+        (Some(_), Some(_)) => return Err(usage("--store and --checkpoint-dir name one store")),
+        (None, None) => return Ok(None),
+        (Some(dir), None) | (None, Some(dir)) => dir,
     };
-    if dir.is_empty() {
-        return Err("--store wants a directory".into());
-    }
     let store = Store::open(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
     if let Some(note) = &store.recovered {
         eprintln!("store: {note}");
@@ -254,17 +210,16 @@ fn resolve_model(
     train_if_missing: bool,
     default_encoder: &str,
 ) -> Result<FexIot, String> {
-    if args.get("model").is_some() {
-        return load_model(args);
+    if let Some(path) = args.value("model") {
+        let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        return FexIot::load_from_bytes(&bytes).map_err(|e| format!("corrupt model {path}: {e}"));
     }
     let Some(store) = store.as_mut() else {
         return Err("--model MODEL or --store DIR is required".into());
     };
-    let encoder_name = args.get("encoder").unwrap_or(default_encoder);
-    let encoder = warm::parse_encoder(encoder_name)
-        .ok_or_else(|| format!("unknown encoder {encoder_name}"))?;
-    let train_seed = args.get_u64("train-seed", args.get_u64("seed", 42));
-    let train_graphs = args.get_positive("train-graphs", 300);
+    let encoder = encoder(args, default_encoder);
+    let train_seed = args.num("train-seed").unwrap_or(seed(args));
+    let train_graphs = args.num("train-graphs").unwrap_or(300);
     if train_if_missing {
         let out = warm::load_or_train_model(Some(store), train_seed, train_graphs, encoder);
         for note in &out.notes {
@@ -285,40 +240,50 @@ fn resolve_model(
 }
 
 fn main() -> ExitCode {
-    let Some(args) = Args::parse() else {
-        return usage();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let program = fexiot_obs::cli::program();
+    let words = |spec: &Spec| spec.command.split(' ').count();
+    let selects = |spec: &&Spec| {
+        argv.get(..words(spec))
+            .is_some_and(|a| a.join(" ") == spec.command)
     };
+    let Some(spec) = COMMANDS.iter().find(selects) else {
+        // Each command's own tables, then the two they all end with.
+        let own = COMMANDS
+            .iter()
+            .map(|s| Spec::new(s.command, &s.flags[..s.flags.len() - 2]));
+        eprintln!("usage:");
+        for spec in own.chain([Spec::new("COMMAND", &[&[THREADS], OBS_FLAGS])]) {
+            eprintln!("  {}", spec.usage(&program).replace('\n', "\n  "));
+        }
+        return ExitCode::from(2);
+    };
+    match cli(spec, &argv[words(spec)..]) {
+        Ok(code) => code,
+        Err(Failure::Usage(e)) => {
+            eprintln!("{e}\nusage: {}", spec.usage(&program));
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn cli(spec: &Spec, argv: &[String]) -> Result<ExitCode, Failure> {
+    let args = fexiot_obs::cli::parse(spec, argv).map_err(Failure::Usage)?;
     // `--threads N` (else FEXIOT_THREADS) pins the data-parallel width
     // before any stage runs; without either the pool uses every core.
-    if let Err(e) = fexiot::set_threads_from(args.get("threads")) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    // The shared helper owns the `--obs-*` namespace: known-flag validation,
-    // stream/report/flame lifecycle (see fexiot_obs::cli).
-    let obs = match fexiot_obs::ObsCli::from_pairs(&args.values) {
-        Ok(obs) => obs,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let run_name = format!("cli-{}", args.command);
-    if let Err(e) = obs.begin(&run_name) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    fexiot::set_threads_from(args.value("threads")).map_err(Failure::Usage)?;
+    let obs = fexiot_obs::ObsCli::from_args(&args);
+    let run_name = format!("cli-{}", spec.command);
+    obs.begin(&run_name)?;
 
     // Fleet-health telemetry (`--obs-timeseries` / `--obs-slo`): built here,
     // carried by the federate run, and handed back for export + the SLO
     // exit-code gate below.
-    let mut telemetry = match obs.fleet_telemetry() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut telemetry = obs.fleet_telemetry()?;
 
     // Federate fills this with its per-round critical path so the summary
     // and the exported report carry the straggler/backoff attribution.
@@ -329,7 +294,8 @@ fn main() -> ExitCode {
     let mut trace: Option<fexiot_obs::CausalGraph> = None;
     // Serve fills this with its run summary for the report's `stream` section.
     let mut stream_section: Option<fexiot_obs::Json> = None;
-    let code = run(
+    let outcome = run(
+        spec.command,
         &args,
         trace_run.as_deref(),
         &mut critical_path,
@@ -337,58 +303,45 @@ fn main() -> ExitCode {
         &mut trace,
         &mut stream_section,
     );
-
-    if let Err(e) = obs.finish(
+    // A failed run still writes the exports it asked for.
+    let finished = obs.finish(
         &run_name,
         critical_path.as_deref(),
         telemetry.as_ref(),
         trace.as_ref(),
         stream_section,
-    ) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    );
+    outcome?;
+    finished?;
     // A failed SLO rule is a run verdict: report it on stderr and exit
     // nonzero (distinct from the generic FAILURE code so CI can tell an SLO
-    // breach from an infrastructure error). The federate arm only hands
-    // telemetry back after a successful run, so this never masks a failure
-    // code from `run`.
+    // breach from an infrastructure error).
     if telemetry.as_ref().is_some_and(|t| t.slo_failed()) {
         eprintln!("SLO gate failed (see verdict lines above)");
-        return ExitCode::from(3);
+        return Ok(ExitCode::from(3));
     }
-    code
+    Ok(ExitCode::SUCCESS)
 }
 
 fn run(
+    command: &str,
     args: &Args,
     trace_run: Option<&str>,
     critical_path: &mut Option<Vec<fexiot_obs::CriticalPathEntry>>,
     telemetry: &mut Option<fexiot_obs::FleetTelemetry>,
     trace: &mut Option<fexiot_obs::CausalGraph>,
     stream_section: &mut Option<fexiot_obs::Json>,
-) -> ExitCode {
-    let mut store = match open_store(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match args.command.as_str() {
+) -> Result<(), Failure> {
+    let mut store = open_store(args)?;
+    match command {
         "train" => {
-            let out_path = args.get("out");
+            let out_path = args.value("out");
             if out_path.is_none() && store.is_none() {
-                eprintln!("train: --out MODEL or --store DIR is required");
-                return usage();
+                return Err(usage("train: --out MODEL or --store DIR is required"));
             }
-            let encoder_name = args.get("encoder").unwrap_or("gin");
-            let Some(encoder) = warm::parse_encoder(encoder_name) else {
-                eprintln!("unknown encoder {encoder_name}");
-                return usage();
-            };
-            let seed = args.get_u64("seed", 42);
-            let graphs = args.get_positive("graphs", 300);
+            let encoder = encoder(args, "gin");
+            let seed = seed(args);
+            let graphs = args.num("graphs").unwrap_or(300);
             let hetero = encoder == EncoderKind::Magnn;
             let ds = make_dataset(args, graphs, hetero, &mut store);
             let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
@@ -438,23 +391,13 @@ fn run(
             println!("held-out: {}", model.evaluate(&test));
             let bytes = model.save_to_bytes();
             if let Some(out) = out_path {
-                if let Err(e) = std::fs::write(out, &bytes) {
-                    eprintln!("cannot write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
                 println!("saved {} KB to {out}", bytes.len() / 1024);
             }
-            ExitCode::SUCCESS
         }
         "eval" => {
-            let graphs = args.get_positive("graphs", 120);
-            let model = match resolve_model(args, &mut store, true, "gin") {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let graphs = args.num("graphs").unwrap_or(120);
+            let model = resolve_model(args, &mut store, true, "gin")?;
             let ds = make_dataset(args, graphs, false, &mut store);
             // The report is accumulated and digested so warm/cold identity
             // is checkable from the last stdout line alone.
@@ -469,17 +412,10 @@ fn run(
             ));
             print!("{report}");
             println!("report digest fnv1a:{:016x}", fnv1a(report.as_bytes()));
-            ExitCode::SUCCESS
         }
         "detect" => {
-            let graphs = args.get_positive("graphs", 20);
-            let model = match resolve_model(args, &mut store, true, "gin") {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let graphs = args.num("graphs").unwrap_or(20);
+            let model = resolve_model(args, &mut store, true, "gin")?;
             let ds = make_dataset(args, graphs, false, &mut store);
             let mut report = String::new();
             for (i, g) in ds.graphs.iter().enumerate() {
@@ -502,17 +438,10 @@ fn run(
             }
             print!("{report}");
             println!("detections digest fnv1a:{:016x}", fnv1a(report.as_bytes()));
-            ExitCode::SUCCESS
         }
         "explain" => {
-            let graphs = args.get_positive("graphs", 60);
-            let model = match resolve_model(args, &mut store, true, "gin") {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let graphs = args.num("graphs").unwrap_or(60);
+            let model = resolve_model(args, &mut store, true, "gin")?;
             let ds = make_dataset(args, graphs, false, &mut store);
             let Some(target) = ds
                 .graphs
@@ -520,7 +449,7 @@ fn run(
                 .find(|g| g.node_count() >= 4 && model.detect(g).vulnerable)
             else {
                 println!("no vulnerable detection in the generated sample; try another --seed");
-                return ExitCode::SUCCESS;
+                return Ok(());
             };
             let e = model.explain(target);
             println!(
@@ -535,81 +464,54 @@ fn run(
                     target.nodes[i].rule.id, target.nodes[i].rule.text
                 );
             }
-            ExitCode::SUCCESS
         }
         "federate" => {
-            let strategy = match args.get("strategy").unwrap_or("fexiot") {
-                "fexiot" => Strategy::fexiot_default(),
-                "fedavg" => Strategy::FedAvg,
-                "fmtl" => Strategy::fmtl_default(),
-                "gcfl" => Strategy::gcfl_default(),
-                "local" => Strategy::LocalOnly,
-                other => {
-                    eprintln!("unknown strategy {other}");
-                    return usage();
-                }
+            let strategy = match args.value("strategy") {
+                None | Some("fexiot") => Strategy::fexiot_default(),
+                Some("fedavg") => Strategy::FedAvg,
+                Some("fmtl") => Strategy::fmtl_default(),
+                Some("gcfl") => Strategy::gcfl_default(),
+                _ => Strategy::LocalOnly,
             };
-            let seed = args.get_u64("seed", 42);
-            let rounds = args.get_usize("rounds", 10);
+            let seed = seed(args);
+            let rounds = args.num("rounds").unwrap_or(10);
             let mut config = FederationConfig {
-                n_clients: args.get_positive("clients", 8),
-                alpha: args.get_f64_in("alpha", 1.0, |a| a > 0.0, "> 0"),
+                n_clients: args.num("clients").unwrap_or(8),
+                alpha: args.num("alpha").unwrap_or(1.0),
                 strategy,
                 rounds,
                 ..Default::default()
             };
             config.pipeline.seed = seed;
+            let p = |name| args.num(name).unwrap_or(0.0);
             config.faults = FaultPlan::none()
                 .with_seed(seed)
-                .with_dropout(args.get_unit("dropout", 0.0))
-                .with_msg_loss(args.get_unit("msg-loss", 0.0))
-                .with_straggler(args.get_unit("straggler", 0.0))
-                .with_corruption(args.get_unit("corrupt", 0.0), Corruption::NonFinite)
-                .with_agg_dropout(args.get_unit("agg-dropout", 0.0))
-                .with_agg_crash(args.get_unit("agg-crash", 0.0), 2)
-                .with_agg_straggler(args.get_unit("agg-straggler", 0.0));
-            config.sampling = if args.get("sample-k").is_some() {
-                Sampling::FixedK(args.get_positive("sample-k", 1))
-            } else if args.get("sample-frac").is_some() {
-                let in_range = |f| f > 0.0 && f <= 1.0;
-                Sampling::Fraction(args.get_f64_in("sample-frac", 1.0, in_range, "in (0, 1]"))
-            } else {
-                Sampling::Full
-            };
-            let failover = match args.get("failover").unwrap_or("reassign") {
-                "reassign" => Failover::Reassign,
-                "skip" => Failover::Skip,
-                other => {
-                    eprintln!("unknown failover policy {other}");
-                    return usage();
+                .with_dropout(p("dropout"))
+                .with_msg_loss(p("msg-loss"))
+                .with_straggler(p("straggler"))
+                .with_corruption(p("corrupt"), Corruption::NonFinite)
+                .with_agg_dropout(p("agg-dropout"))
+                .with_agg_crash(p("agg-crash"), 2)
+                .with_agg_straggler(p("agg-straggler"));
+            config.sampling = match (args.num("sample-k"), args.num("sample-frac")) {
+                (Some(_), Some(_)) => {
+                    return Err(usage("--sample-k and --sample-frac exclude each other"))
                 }
+                (Some(k), None) => Sampling::FixedK(k),
+                (None, Some(f)) => Sampling::Fraction(f),
+                (None, None) => Sampling::Full,
             };
             config.topology = Topology {
-                aggregators: args.get_positive("aggregators", 1),
-                failover,
+                aggregators: args.num("aggregators").unwrap_or(1),
+                failover: match args.value("failover") {
+                    Some("skip") => Failover::Skip,
+                    _ => Failover::Reassign,
+                },
             };
-            config.quorum = args.get_unit("quorum", 0.0);
-            config.deadline_ticks = args.get_num("deadline-ticks").filter(|&t: &usize| t > 0);
+            config.quorum = p("quorum");
+            config.deadline_ticks = args.num("deadline-ticks");
 
-            // `--checkpoint-dir DIR` is a compatibility alias for
-            // `--store DIR`: both open the same manifest-backed store.
-            if store.is_none() {
-                if let Some(dir) = args.get("checkpoint-dir") {
-                    match Store::open(std::path::Path::new(dir)) {
-                        Ok(s) => {
-                            if let Some(note) = &s.recovered {
-                                eprintln!("store: {note}");
-                            }
-                            store = Some(s);
-                        }
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-            }
-            let graph_count = args.get_positive("graphs", 240);
+            let graph_count = args.num("graphs").unwrap_or(240);
             let ds = make_dataset(args, graph_count, false, &mut store);
             let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
             let (train, test) = ds.train_test_split(0.8, &mut rng);
@@ -710,10 +612,10 @@ fn run(
                     eprintln!("round {:>3}: COMM INVARIANT VIOLATED: {e}", r.round);
                 }
                 if let Some(s) = store.as_mut() {
-                    if let Err(e) = s.put_round(&ck_id, r.round as u64, &sim.checkpoint()) {
-                        eprintln!("cannot write checkpoint for round {}: {e}", r.round);
-                        return ExitCode::FAILURE;
-                    }
+                    s.put_round(&ck_id, r.round as u64, &sim.checkpoint())
+                        .map_err(|e| {
+                            format!("cannot write checkpoint for round {}: {e}", r.round)
+                        })?;
                 }
             }
             let metrics = sim.evaluate(&test);
@@ -721,13 +623,11 @@ fn run(
             *critical_path = Some(sim.critical_path());
             *telemetry = sim.take_telemetry();
             *trace = sim.take_causal_trace();
-            ExitCode::SUCCESS
         }
-        "serve" => serve(args, &mut store, critical_path, telemetry, stream_section),
+        "serve" => serve(args, &mut store, critical_path, telemetry, stream_section)?,
         "store list" => {
             let Some(s) = store.as_ref() else {
-                eprintln!("store list: --store DIR is required");
-                return usage();
+                return Err(usage("store list: --store DIR is required"));
             };
             let entries = s.list();
             for e in &entries {
@@ -740,29 +640,20 @@ fn run(
                 );
             }
             println!("{} artifact(s)", entries.len());
-            ExitCode::SUCCESS
         }
         "store gc" => {
             let Some(s) = store.as_mut() else {
-                eprintln!("store gc: --store DIR is required");
-                return usage();
+                return Err(usage("store gc: --store DIR is required"));
             };
-            match s.gc() {
-                Ok((dropped, deleted)) => {
-                    println!(
-                        "store gc: dropped {dropped} broken entr{}, deleted {deleted} orphan blob(s)",
-                        if dropped == 1 { "y" } else { "ies" }
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let (dropped, deleted) = s.gc().map_err(|e| e.to_string())?;
+            println!(
+                "store gc: dropped {dropped} broken entr{}, deleted {deleted} orphan blob(s)",
+                if dropped == 1 { "y" } else { "ies" }
+            );
         }
-        _ => usage(),
+        _ => unreachable!("COMMANDS lists every command"),
     }
+    Ok(())
 }
 
 /// A trained encoder only consumes graphs in its input feature space: GIN
@@ -808,7 +699,8 @@ fn model_accepts_fleet(
     Ok(())
 }
 
-/// Adapts the trained [`FexIot`] model to the streaming [`Detector`] trait.
+/// Adapts the trained [`FexIot`] model to the streaming
+/// [`Detector`](fexiot_stream::Detector) trait.
 struct ModelDetector<'a>(&'a FexIot);
 
 impl fexiot_stream::Detector for ModelDetector<'_> {
@@ -832,87 +724,71 @@ fn serve(
     critical_path: &mut Option<Vec<fexiot_obs::CriticalPathEntry>>,
     telemetry: &mut Option<fexiot_obs::FleetTelemetry>,
     stream_section: &mut Option<fexiot_obs::Json>,
-) -> ExitCode {
-    let Some(overflow) = fexiot_stream::Overflow::parse(args.get("overflow").unwrap_or("block"))
-    else {
-        eprintln!("--overflow must be 'block' or 'shed'");
-        return usage();
-    };
+) -> Result<(), Failure> {
     let defaults = fexiot_stream::StreamConfig::default();
     let cfg = fexiot_stream::StreamConfig {
-        shards: args.get_positive("shards", defaults.shards),
-        mailbox_cap: args.get_positive("mailbox-cap", defaults.mailbox_cap),
-        overflow,
-        ingest_rate: args.get_positive("ingest-rate", defaults.ingest_rate),
-        maintain_rate: args.get_positive("maintain-rate", defaults.maintain_rate),
-        detect_rate: args.get_positive("detect-rate", defaults.detect_rate),
-        round_events: args.get_positive("round-events", defaults.round_events),
-        slow_shard: args.get_num("slow-shard"),
+        shards: args.num("shards").unwrap_or(defaults.shards),
+        mailbox_cap: args.num("mailbox-cap").unwrap_or(defaults.mailbox_cap),
+        overflow: args.value("overflow").map_or(defaults.overflow, |w| {
+            fexiot_stream::Overflow::parse(w).expect("the flag table admits block|shed")
+        }),
+        ingest_rate: args.num("ingest-rate").unwrap_or(defaults.ingest_rate),
+        maintain_rate: args.num("maintain-rate").unwrap_or(defaults.maintain_rate),
+        detect_rate: args.num("detect-rate").unwrap_or(defaults.detect_rate),
+        round_events: args.num("round-events").unwrap_or(defaults.round_events),
+        slow_shard: args.num("slow-shard").or(defaults.slow_shard),
     };
     if let Some(i) = cfg.slow_shard.filter(|&i| i >= cfg.shards) {
-        eprintln!(
+        return Err(usage(format!(
             "--slow-shard {i} is out of range: --shards {} has shards 0 to {}",
             cfg.shards,
             cfg.shards - 1
-        );
-        return ExitCode::from(2);
+        )));
     }
 
     // The (homes, home-size, seed) triple defines both the offline graphs
-    // and — in the default --replay mode — the simulated event stream. A
-    // wire file from --input pairs with the triple that recorded it.
-    let seed = args.get_u64("seed", 42);
+    // and — without --input — the simulated event stream. A wire file from
+    // --input pairs with the triple that recorded it.
     let mut fleet_cfg = fexiot_stream::FleetConfig {
-        homes: args.get_positive("homes", 6),
-        home_size: args.get_positive("home-size", 6),
-        seed,
+        homes: args.num("homes").unwrap_or(6),
+        home_size: args.num("home-size").unwrap_or(6),
+        seed: seed(args),
         ..fexiot_stream::FleetConfig::default()
     };
-    let sim_scale = args.get_positive("sim-scale", 1) as u64;
-    let Some(duration) = fleet_cfg.sim.duration.checked_mul(sim_scale) else {
-        eprintln!("--sim-scale {sim_scale} overflows the simulated duration");
-        return ExitCode::from(2);
-    };
-    fleet_cfg.sim.duration = duration;
+    let sim_scale: u64 = args.num("sim-scale").unwrap_or(1);
+    fleet_cfg.sim.duration = fleet_cfg
+        .sim
+        .duration
+        .checked_mul(sim_scale)
+        .ok_or_else(|| {
+            usage(format!(
+                "--sim-scale {sim_scale} overflows the simulated duration"
+            ))
+        })?;
     let fleet = fexiot_stream::replay_fleet(&fleet_cfg);
 
     let wire_events;
-    let events: &[fexiot_stream::HomeEvent] = match args.get("input") {
+    let events: &[fexiot_stream::HomeEvent] = match args.value("input") {
         None => &fleet.events,
         Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read wire file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match fexiot_stream::parse_wire(&text) {
-                Ok((_, events)) => {
-                    wire_events = events;
-                    &wire_events
-                }
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read wire file {path}: {e}"))?;
+            (_, wire_events) =
+                fexiot_stream::parse_wire(&text).map_err(|e| format!("{path}: {e}"))?;
+            &wire_events
         }
     };
     if let Some(bad) = events.iter().find(|e| e.home >= fleet.graphs.len()) {
-        eprintln!(
+        return Err(Failure::Run(format!(
             "serve: event for home {} but the fleet has {} homes \
              (--homes/--home-size/--seed must match the recording)",
             bad.home,
             fleet.graphs.len()
-        );
-        return ExitCode::FAILURE;
+        )));
     }
-    if let Some(path) = args.get("record") {
-        if let Err(e) = std::fs::write(path, fexiot_stream::write_wire("cli-serve", events)) {
-            eprintln!("cannot write wire recording {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.value("record") {
+        std::fs::write(path, fexiot_stream::write_wire("cli-serve", events))
+            .map_err(|e| format!("cannot write wire recording {path}: {e}"))?;
         println!("recorded {} events to {path}", events.len());
     }
 
@@ -927,10 +803,7 @@ fn serve(
             fexiot_obs::SampleSpec::CounterDelta("stream.mailbox.shed".into()),
             fexiot_obs::SampleSpec::Gauge("stream.ingest.events_per_round".into()),
         ] {
-            if let Err(e) = tel.store.add_spec(spec) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+            tel.store.add_spec(spec)?;
         }
     }
 
@@ -938,40 +811,33 @@ fn serve(
     // `--store` registry — and never trains. The registry default is magnn:
     // the replay fleet is five-platform heterogeneous, and only MAGNN
     // carries per-platform projections (see model_accepts_fleet).
-    let model = if args.get("model").is_none() && store.is_none() {
-        None
+    let model = if args.has("model") || store.is_some() {
+        Some(resolve_model(args, store, false, "magnn")?)
     } else {
-        match resolve_model(args, store, false, "magnn") {
-            Ok(m) => Some(m),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        None
     };
     if let Some(m) = &model {
-        if let Err(e) = model_accepts_fleet(m, &fleet.graphs) {
-            eprintln!(
+        model_accepts_fleet(m, &fleet.graphs).map_err(|e| {
+            format!(
                 "serve: --model cannot score this fleet ({e}); the replay fleet is \
                  five-platform heterogeneous, so train with `--encoder magnn`, or \
                  drop --model to use the runtime detector"
-            );
-            return ExitCode::FAILURE;
-        }
+            )
+        })?;
     }
 
     println!(
         "serving {} homes · {} events ({}) · {} shard(s) · mailboxes cap {} policy {} · detector {}",
         fleet.graphs.len(),
         events.len(),
-        if args.get("input").is_some() {
+        if args.has("input") {
             "wire replay"
         } else {
             "seeded replay"
         },
         cfg.shards,
         cfg.mailbox_cap,
-        overflow.name(),
+        cfg.overflow.name(),
         if model.is_some() { "trained model" } else { "runtime features" },
     );
 
@@ -1020,51 +886,64 @@ fn serve(
 
     *stream_section = Some(s.to_json());
     *critical_path = Some(out.critical_path);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(flags: &[&str]) -> Args {
-        Args::parse_from(
-            "train".into(),
-            flags.iter().map(|s| s.to_string()).collect(),
-        )
-        .expect("flags should parse")
+    /// Parses one command line against the command it names.
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let spec = COMMANDS.iter().find(|s| line.starts_with(s.command));
+        let spec = spec.expect("the line names a command");
+        fexiot_obs::cli::parse(spec, &argv[spec.command.split(' ').count()..])
     }
 
     #[test]
     fn parses_valued_and_boolean_flags() {
-        let args = parse(&["--graphs", "120", "--obs-summary", "--seed", "7"]);
-        assert_eq!(args.get_usize("graphs", 0), 120);
-        assert_eq!(args.get_u64("seed", 0), 7);
-        // Boolean flags parse as present-with-empty-value.
-        assert_eq!(args.get("obs-summary"), Some(""));
-        assert_eq!(args.get("obs-out"), None);
+        let args = parse("train --graphs 120 --obs-summary --seed 7").unwrap();
+        assert_eq!(args.num::<usize>("graphs"), Some(120));
+        assert_eq!(args.num::<u64>("seed"), Some(7));
+        assert!(args.has("obs-summary") && args.value("obs-summary").is_none());
+        assert!(!args.has("obs-out"));
+        // Flag sets that CI and the README pass.
+        for line in [
+            "train --encoder magnn --graphs 120 --seed 7 --threads 4 --out m.fex",
+            "explain --model m.fex --seed 42 --threads 1",
+            "eval --store s --graphs 60 --seed 9 --train-graphs 120 --train-seed 7 --obs-out d",
+            "federate --clients 2000 --rounds 10 --graphs 240 --sample-k 48 --aggregators 2 \
+             --failover skip --dropout 0.3 --agg-crash 0.15 --quorum 0.6 --deadline-ticks 8 \
+             --obs-slo r.toml --obs-timeseries --obs-trace-timing exclude --threads 4",
+            "federate --rounds 2 --strategy gcfl --msg-loss 0.1 --checkpoint-dir d --obs-summary",
+            "serve --homes 6 --home-size 6 --seed 42 --sim-scale 4 --shards 2 --slow-shard 1 \
+             --mailbox-cap 8 --obs-timeseries --obs-slo r.toml --obs-stream-timing exclude",
+            "serve --model m.fex --input w.jsonl --record r.jsonl --overflow shed",
+            "store list --store s",
+            "store gc --store s --threads 1",
+        ] {
+            let parsed = parse(line);
+            assert!(parsed.is_ok(), "{line}: {:?}", parsed.err());
+        }
     }
 
     #[test]
     fn rejects_positional_arguments() {
-        let parsed = Args::parse_from("train".into(), vec!["stray".into()]);
-        assert!(parsed.is_none());
+        assert_eq!(
+            parse("train stray").unwrap_err(),
+            "unexpected argument \"stray\""
+        );
+        assert!(parse("store list extra").is_err());
     }
 
     #[test]
     fn known_obs_flags_pass_validation() {
-        let args = parse(&[
-            "--obs-summary",
-            "--obs-out",
-            "results/obs",
-            "--obs-stream",
-            "events.jsonl",
-            "--obs-stream-timing",
-            "exclude",
-            "--obs-flame",
-            "run.flame",
-        ]);
-        let obs = fexiot_obs::ObsCli::from_pairs(&args.values).expect("all flags known");
+        let args = parse(
+            "federate --obs-summary --obs-out results/obs --obs-stream events.jsonl \
+             --obs-stream-timing exclude --obs-flame run.flame",
+        );
+        let obs = fexiot_obs::ObsCli::from_args(&args.expect("all flags known"));
         assert!(obs.summary && obs.enabled());
         assert!(!obs.include_stream_timing);
         assert!(obs.flame.is_some());
@@ -1072,21 +951,35 @@ mod tests {
 
     #[test]
     fn unknown_obs_flag_is_rejected_with_the_known_list() {
-        let args = parse(&["--obs-steam", "events.jsonl"]);
-        let err = fexiot_obs::ObsCli::from_pairs(&args.values).unwrap_err();
+        let err = parse("serve --obs-steam events.jsonl").unwrap_err();
         assert!(err.contains("--obs-steam"), "names the offender: {err}");
-        for known in fexiot_obs::cli::OBS_FLAGS {
-            assert!(err.contains(known), "lists --{known}: {err}");
+        // Every command's usage, printed with the error, lists the obs flags.
+        for spec in COMMANDS {
+            let usage = spec.usage("fexiot-cli");
+            for known in OBS_FLAGS {
+                assert!(usage.contains(&format!("--{}", known.name)), "{usage}");
+            }
         }
     }
 
     #[test]
     fn bad_stream_timing_mode_is_rejected() {
-        let args = parse(&["--obs-stream-timing", "sometimes"]);
-        let err = fexiot_obs::ObsCli::from_pairs(&args.values).unwrap_err();
+        let err = parse("eval --obs-stream-timing sometimes").unwrap_err();
         assert!(err.contains("sometimes"));
-        // Non-obs flags stay permissive; only the obs namespace is strict.
-        let args = parse(&["--definitely-not-a-flag", "x"]);
-        assert!(fexiot_obs::ObsCli::from_pairs(&args.values).is_ok());
+        // Other flags are as strict as the obs namespace.
+        let err = parse("eval --definitely-not-a-flag x").unwrap_err();
+        assert!(err.contains("--definitely-not-a-flag"));
+    }
+
+    #[test]
+    fn no_command_names_a_flag_twice() {
+        for spec in COMMANDS {
+            let mut names: Vec<&str> = spec.rows().map(|f| f.name).collect();
+            let count = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), count, "{} repeats a flag", spec.command);
+            assert_eq!(spec.flags[spec.flags.len() - 2..], [&[THREADS], OBS_FLAGS]);
+        }
     }
 }

@@ -1,8 +1,10 @@
-//! The CLI's input boundary, driven as a process: a numeric flag or a
-//! `FEXIOT_THREADS` value that does not parse, a count that is zero or out
-//! of range, or a real value outside its domain, exits 2 with a message
-//! that names it, instead of running with a default or a clamped value; a
-//! hostile wire file exits 1 with an error, never a crash.
+//! The CLI's input boundary, driven as a process: an unknown, repeated,
+//! stray or valueless argument, a numeric flag or a `FEXIOT_THREADS` value
+//! that does not parse, a count that is zero or out of range, a real value
+//! outside its domain, or a word outside a flag's choices exits 2 with a
+//! message that names it, before any work and instead of running with a
+//! default or a clamped value; a hostile wire file exits 1 with an error,
+//! never a crash.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -66,8 +68,23 @@ fn unparsable_threads_env_exits_2_naming_the_variable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `args` and checks that it exits 2 naming `named` on stderr, with
+/// nothing on stdout.
+fn assert_usage_error(args: &[&str], named: &str) {
+    let out = cli(args, Some("1"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}, stderr: {err}");
+    assert!(
+        err.contains(named),
+        "{args:?} must name {named}, stderr: {err}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} must do no work");
+}
+
 #[test]
 fn serve_rejects_zero_counts_and_a_missing_slow_shard() {
+    // Each case is checked before a fleet is built, so none needs a small
+    // fleet, and no case gives a flag twice.
     let cases: &[(&[&str], &str)] = &[
         (&["--homes", "0"], "--homes"),
         (&["--home-size", "0"], "--home-size"),
@@ -82,15 +99,7 @@ fn serve_rejects_zero_counts_and_a_missing_slow_shard() {
         (&["--shards", "2", "--slow-shard", "2"], "--slow-shard"),
     ];
     for (flags, named) in cases {
-        // The first occurrence of a flag wins, so the case goes first.
-        let mut args = vec!["serve"];
-        args.extend_from_slice(flags);
-        args.extend_from_slice(&["--homes", "2", "--home-size", "3"]);
-        let out = cli(&args, Some("1"));
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flags:?}, stderr: {err}");
-        assert!(err.contains(named), "{flags:?}, stderr: {err}");
-        assert!(out.stdout.is_empty(), "{flags:?} must not serve");
+        assert_usage_error(&[&["serve"], *flags].concat(), named);
     }
 
     // The smallest valid values still serve.
@@ -100,6 +109,101 @@ fn serve_rejects_zero_counts_and_a_missing_slow_shard() {
     let out = cli(&ok, Some("1"));
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+}
+
+#[test]
+fn every_malformed_argument_exits_2_naming_it_before_any_work() {
+    let dir = fresh_dir("strict");
+    let (store_dir, model_file) = (dir.join("store"), dir.join("m.fex"));
+    let (store, model) = (store_dir.to_str().unwrap(), model_file.to_str().unwrap());
+    // What any command rejects.
+    let any: &[(&[&str], &str)] = &[
+        (&["--bogus", "3"], "--bogus"),
+        (
+            &["--threads", "1", "--threads", "1"],
+            "--threads is given twice",
+        ),
+        (&["--obs-summary", "yes"], "--obs-summary takes no value"),
+        (&["--obs-out"], "--obs-out needs a value"),
+        (&["--obs-steam", "e.jsonl"], "unknown flag \"--obs-steam\""),
+        (&["stray"], "unexpected argument \"stray\""),
+    ];
+    let commands: &[&[&str]] = &[
+        &["train"],
+        &["eval"],
+        &["detect"],
+        &["explain"],
+        &["federate"],
+        &["serve"],
+        &["store", "list"],
+        &["store", "gc"],
+    ];
+    for command in commands {
+        for (flags, named) in any {
+            assert_usage_error(&[*command, *flags].concat(), named);
+        }
+    }
+    // What one command rejects: a flag of another command or a misspelling,
+    // a repeat, a text flag without a value, a word outside the choices
+    // (even where `--model` makes it unused), a zero deadline, and two
+    // flags that would silently override each other.
+    let one: &[(&[&str], &str)] = &[
+        (&["train", "--round", "1"], "--round"),
+        (&["explain", "--beam", "0"], "--beam"),
+        (&["serve", "--threshold", "2"], "--threshold"),
+        (&["serve", "--replay"], "--replay"),
+        (&["federate", "--homes", "2"], "--homes"),
+        (&["train", "--graphs", "5", "--graphs", "6"], "--graphs"),
+        (&["federate", "--seed", "1", "--seed", "2"], "--seed"),
+        (&["train", "--out"], "--out"),
+        (&["train", "--out", "--graphs", "5"], "--out"),
+        (&["eval", "--model"], "--model"),
+        (&["detect", "--model", ""], "--model"),
+        (&["serve", "--input"], "--input"),
+        (&["serve", "--record"], "--record"),
+        (&["store", "list", "--store"], "--store"),
+        (&["federate", "--checkpoint-dir"], "--checkpoint-dir"),
+        (&["train", "--encoder", "gat", "--out", model], "--encoder"),
+        (&["eval", "--encoder", "gat", "--model", model], "--encoder"),
+        (
+            &["serve", "--encoder", "gat", "--model", model],
+            "--encoder",
+        ),
+        (&["federate", "--strategy", "fedprox"], "--strategy"),
+        (&["federate", "--failover", "retry"], "--failover"),
+        (&["serve", "--overflow", "drop"], "--overflow"),
+        (
+            &["federate", "--obs-stream-timing", "never"],
+            "--obs-stream-timing",
+        ),
+        (&["federate", "--obs-timeseries", "0"], "--obs-timeseries"),
+        (&["federate", "--deadline-ticks", "0"], "--deadline-ticks"),
+        (
+            &["federate", "--sample-k", "4", "--sample-frac", "0.5"],
+            "--sample-frac",
+        ),
+        (
+            &["federate", "--store", store, "--checkpoint-dir", store],
+            "--checkpoint-dir",
+        ),
+        (&["store"], "usage:"),
+        (&["store", "prune", "--store", store], "usage:"),
+    ];
+    for (args, named) in one {
+        assert_usage_error(args, named);
+    }
+    assert!(
+        !model_file.exists() && !store_dir.exists(),
+        "nothing may be written"
+    );
+
+    // A misspelled observability flag is answered with every one of them.
+    let out = cli(&["federate", "--obs-steam", "e.jsonl"], Some("1"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    for flag in fexiot_obs::cli::OBS_FLAGS {
+        assert!(err.contains(&format!("--{}", flag.name)), "stderr: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -122,11 +226,7 @@ fn zero_dataset_and_client_counts_exit_2_naming_the_flag() {
         ),
     ];
     for (args, named) in cases {
-        let out = cli(args, Some("1"));
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}, stderr: {err}");
-        assert!(err.contains(named), "{args:?}, stderr: {err}");
-        assert!(out.stdout.is_empty(), "{args:?} must report on nothing");
+        assert_usage_error(args, named);
     }
     assert!(
         !dir.join("m.fex").exists(),

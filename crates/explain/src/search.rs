@@ -67,7 +67,7 @@ pub struct Explanation {
 }
 
 /// Runs the subgraph search and returns the best explanation found. Every
-/// reward scores its coalitions through one [`CoalitionScorer`], so each
+/// reward scores its coalitions through one `CoalitionScorer`, so each
 /// distinct coalition runs the model once per explanation.
 ///
 /// # Panics

@@ -133,7 +133,7 @@ impl GraphBuilder {
         graph
     }
 
-    /// The structural half of [`build_graph`]: edges, label, and rule nodes
+    /// The structural half of [`Self::build_graph`]: edges, label, and rule nodes
     /// with **empty** feature vectors. Edge derivation and the vulnerability
     /// detector read only rule semantics, never node features, so a
     /// structure-only graph carries the final label — featurization (the NLP

@@ -1,31 +1,40 @@
-//! `obs-diff [options] <baseline.json> <current.json>` — compares two obs
+//! `obs-diff [flags] <baseline.json> <current.json>` — compares two obs
 //! run reports (`fexiot-obs/v4`) by one structural rule (see
 //! `fexiot_obs::diff`) and exits non-zero when deterministic data drifted
 //! (or, with `--strict-timing`, when timings regressed beyond tolerance).
 //! Each finding names its leaf by a dotted path. This is the CI behaviour
 //! regression gate; a file with any other schema is a usage error.
 //!
-//! Options:
-//!   --timing-tolerance FRAC   allowed fractional slowdown (default 0.25)
-//!   --timing-floor-us N       ignore spans faster than this in the baseline
-//!                             (default 1000)
-//!   --strict-timing           timing regressions become breaking
-//!   --json                    print the fexiot-obs-diff/v2 verdict document
+//! The flags are the rows of `SPEC` below, from which the usage line printed
+//! on a usage error is generated. Their defaults are `DiffConfig`'s:
+//! `--timing-tolerance` is the fractional slowdown allowed (0.25),
+//! `--timing-floor-us` ignores spans faster than it in the baseline (1000),
+//! and `--json` prints the `fexiot-obs-diff/v2` verdict document.
 //!
 //! Exit codes: 0 pass, 1 fail (breaking findings), 2 usage/IO error.
 
+use fexiot_obs::cli::Kind::{Int, Real, Switch};
+use fexiot_obs::cli::{parse_env, Flag, Spec};
 use fexiot_obs::diff::{diff_reports, DiffConfig};
 use fexiot_obs::{validate_report, Json};
+use std::ops::Bound::{Excluded, Included};
 use std::path::Path;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: obs-diff [--timing-tolerance FRAC] [--timing-floor-us N] \
-         [--strict-timing] [--json] <baseline.json> <current.json>"
-    );
-    ExitCode::from(2)
-}
+const FLAGS: &[Flag] = &[
+    Flag::new(
+        "timing-tolerance",
+        Real(Included(0.0), Excluded(f64::INFINITY)),
+        "FRAC",
+    ),
+    Flag::new("timing-floor-us", Int(0), "N"),
+    Flag::new("strict-timing", Switch, ""),
+    Flag::new("json", Switch, ""),
+];
+const SPEC: Spec = Spec {
+    operands: &["<baseline.json>", "<current.json>"],
+    ..Spec::new("", &[FLAGS])
+};
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -35,32 +44,19 @@ fn load(path: &str) -> Result<Json, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = DiffConfig::default();
-    let mut as_json = false;
-    let mut files = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--timing-tolerance" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(v)) if v >= 0.0 && v.is_finite() => cfg.timing_tolerance = v,
-                _ => return usage(),
-            },
-            "--timing-floor-us" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => cfg.timing_floor_us = v,
-                _ => return usage(),
-            },
-            "--strict-timing" => cfg.strict_timing = true,
-            "--json" => as_json = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("obs-diff: unknown flag {flag:?}");
-                return usage();
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    let [baseline, current] = files.as_slice() else {
-        return usage();
+    let args = parse_env(&SPEC);
+    let defaults = DiffConfig::default();
+    let cfg = DiffConfig {
+        timing_tolerance: args
+            .num("timing-tolerance")
+            .unwrap_or(defaults.timing_tolerance),
+        timing_floor_us: args
+            .num("timing-floor-us")
+            .unwrap_or(defaults.timing_floor_us),
+        strict_timing: args.has("strict-timing"),
+    };
+    let [baseline, current] = &args.operands[..] else {
+        unreachable!("the spec names two operands")
     };
     let (base_doc, cur_doc) = match (load(baseline), load(current)) {
         (Ok(b), Ok(c)) => (b, c),
@@ -72,7 +68,7 @@ fn main() -> ExitCode {
         }
     };
     let report = diff_reports(&base_doc, &cur_doc, &cfg);
-    if as_json {
+    if args.has("json") {
         println!(
             "{}",
             report.to_json(

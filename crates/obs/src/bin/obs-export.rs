@@ -1,5 +1,5 @@
-//! `obs-export [options] <report.json | stream.jsonl>` — export surfaces for
-//! obs data.
+//! `obs-export [flags] <report.json | stream.jsonl | trace.json>` — export
+//! surfaces for obs data.
 //!
 //! Default mode renders Prometheus text exposition from the input: a
 //! `fexiot-obs/v4` run report (counters, gauges, histograms with
@@ -7,34 +7,37 @@
 //! `fexiot-obs-events/v1` JSONL stream (replayed counter totals and gauge
 //! values). The input kind is auto-detected from its first line.
 //!
-//! Options:
-//!   --watch            tail a JSONL stream and render a live terminal view
-//!                      (round progress, cohort/aggregator status, quorum
-//!                      margin, SLO status, per-round attribution)
-//!   --once             with --watch: render the current state once and exit
-//!                      (CI-friendly; no terminal control sequences)
-//!   --interval-ms N    with --watch: poll interval (default 500)
-//!   --section NAME     print one raw section of a valid report (e.g.
-//!                      `timeseries`, `slo`, `root_cause`) as JSON —
-//!                      byte-comparable across runs
-//!   --chrome-trace     render a `fexiot-obs-causal/v1` graph file (from
-//!                      `--obs-trace`) as Chrome trace-event JSON, loadable
-//!                      in Perfetto / chrome://tracing
+//! The flags are the rows of `SPEC` below, from which the usage line printed
+//! on a usage error is generated. `--watch` tails a JSONL stream and renders
+//! a live terminal view (round progress, cohort/aggregator status, quorum
+//! margin, SLO status, per-round attribution), polling every
+//! `--interval-ms` (default 500, at least 50); `--once` renders it once
+//! and exits, without terminal control sequences. `--section NAME` prints
+//! one raw section of a valid report (e.g. `timeseries`, `slo`,
+//! `root_cause`) as byte-comparable JSON. `--chrome-trace` renders a
+//! `fexiot-obs-causal/v1` graph file (from `--obs-trace`) as Chrome
+//! trace-event JSON, loadable in Perfetto / chrome://tracing.
 //!
 //! Exit codes: 0 success, 2 usage/IO/parse error.
 
+use fexiot_obs::cli::Kind::{Int, Switch, Text};
+use fexiot_obs::cli::{parse_env, Flag, Spec};
 use fexiot_obs::{
     prometheus_from_report, prometheus_from_stream, validate_report, Json, WatchState,
 };
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: obs-export [--watch [--once] [--interval-ms N]] [--section NAME] \
-         [--chrome-trace] <report.json | stream.jsonl | trace.json>"
-    );
-    ExitCode::from(2)
-}
+const FLAGS: &[Flag] = &[
+    Flag::new("watch", Switch, ""),
+    Flag::new("once", Switch, ""),
+    Flag::new("interval-ms", Int(50), "N"),
+    Flag::new("section", Text, "NAME"),
+    Flag::new("chrome-trace", Switch, ""),
+];
+const SPEC: Spec = Spec {
+    operands: &["<report.json | stream.jsonl | trace.json>"],
+    ..Spec::new("", &[FLAGS])
+};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("obs-export: {msg}");
@@ -74,47 +77,24 @@ fn watch(path: &str, once: bool, interval_ms: u64) -> ExitCode {
             let _ = std::io::stdout().flush();
             last_frame = frame;
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
+        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut watch_mode = false;
-    let mut once = false;
-    let mut interval_ms = 500u64;
-    let mut section: Option<String> = None;
-    let mut chrome = false;
-    let mut files = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--watch" => watch_mode = true,
-            "--once" => once = true,
-            "--chrome-trace" => chrome = true,
-            "--interval-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) => interval_ms = v,
-                _ => return usage(),
-            },
-            "--section" => match it.next() {
-                Some(name) if !name.starts_with("--") => section = Some(name.clone()),
-                _ => return usage(),
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("obs-export: unknown flag {flag:?}");
-                return usage();
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    let [path] = files.as_slice() else {
-        return usage();
-    };
-    if watch_mode {
+    let args = parse_env(&SPEC);
+    let path = &args.operands[0];
+    let section = args.value("section");
+    let chrome = args.has("chrome-trace");
+    if args.has("watch") {
         if section.is_some() || chrome {
             return fail("--watch is mutually exclusive with --section/--chrome-trace");
         }
-        return watch(path, once, interval_ms);
+        return watch(
+            path,
+            args.has("once"),
+            args.num("interval-ms").unwrap_or(500),
+        );
     }
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -144,7 +124,7 @@ fn main() -> ExitCode {
         if let Err(e) = validate_report(&doc) {
             return fail(&format!("{path}: {e}"));
         }
-        return match doc.get(&name) {
+        return match doc.get(name) {
             Some(value) => {
                 println!("{value}");
                 ExitCode::SUCCESS

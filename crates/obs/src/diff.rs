@@ -87,7 +87,7 @@ const MAX_FINDINGS: usize = 100;
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
     pub findings: Vec<Finding>,
-    /// Findings discarded after [`MAX_FINDINGS`].
+    /// Findings discarded after the first `MAX_FINDINGS` (100).
     pub truncated: usize,
 }
 

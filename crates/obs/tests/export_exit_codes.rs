@@ -1,6 +1,6 @@
-//! Process-level test of `obs-export --section`: it prints a section only
-//! from a valid obs report and exits 2, naming the file and the reason, for
-//! anything else.
+//! Process-level test of `obs-export`'s exit codes: `--section` prints a
+//! section only from a valid obs report and exits 2, naming the file and the
+//! reason, for anything else; a bad flag exits 2 naming it.
 
 use fexiot_obs::{write_report, Registry};
 use std::path::PathBuf;
@@ -50,4 +50,33 @@ fn section_of_a_non_report_exits_2() {
     let stderr = text(&out.stderr);
     assert!(stderr.contains(&path.display().to_string()), "{stderr}");
     assert!(stderr.contains("unknown schema"), "{stderr}");
+}
+
+#[test]
+fn a_bad_flag_exits_2_naming_it() {
+    let path = temp_dir("flags").join("stream.jsonl");
+    for (args, named) in [
+        (&["--bogus"][..], "unknown flag \"--bogus\""),
+        (
+            &["--watch", "--once", "--interval-ms", "10"],
+            "--interval-ms",
+        ),
+        (&["--section"], "--section needs a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_obs-export"))
+            .arg(&path)
+            .args(args)
+            .output()
+            .expect("run obs-export");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: {}",
+            text(&out.stdout)
+        );
+        assert!(out.stdout.is_empty(), "{}", text(&out.stdout));
+        let stderr = text(&out.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: obs-export"), "{stderr}");
+    }
 }

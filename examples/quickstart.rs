@@ -5,42 +5,32 @@
 //!
 //! Accepts `--threads N` to pin the deterministic parallel execution width
 //! (default: `FEXIOT_THREADS`, else all cores; output is bit-identical at any
-//! width) and the shared observability flags (see `fexiot_obs::cli`):
-//! `--obs-out DIR` writes a `fexiot-obs/v4` run report (span timings +
-//! metrics) under DIR, `--obs-stream FILE` streams `fexiot-obs-events/v1`
-//! JSONL events live to FILE (`--obs-stream-timing exclude` drops wall-clock
-//! fields, making same-seed streams byte-identical), `--obs-flame FILE`
-//! writes flamegraph-compatible collapsed stacks, `--obs-summary` prints
-//! the span tree after the run, and `--obs-slo FILE` / `--obs-timeseries`
-//! attach the fleet-health telemetry surfaces (the quickstart has no
-//! federated rounds, so SLO rules report NODATA and the time-series stays
-//! empty — the flags exercise parsing, verdict printing, and report
-//! sections).
+//! width) and the shared observability flags (`fexiot_obs::cli::OBS_FLAGS`;
+//! a bad flag prints the usage line generated from them): `--obs-out DIR`
+//! writes a `fexiot-obs/v4` run report (span timings + metrics) under DIR,
+//! `--obs-stream FILE` streams `fexiot-obs-events/v1` JSONL events live to
+//! FILE (`--obs-stream-timing exclude` drops wall-clock fields, making
+//! same-seed streams byte-identical), `--obs-flame FILE` writes
+//! flamegraph-compatible collapsed stacks, `--obs-summary` prints the span
+//! tree after the run, and `--obs-slo FILE` / `--obs-timeseries` attach the
+//! fleet-health telemetry surfaces (the quickstart has no federated rounds,
+//! so SLO rules report NODATA and the time-series stays empty — the flags
+//! exercise parsing, verdict printing, and report sections).
 
 use fexiot::{FexIot, FexIotConfig};
 use fexiot_graph::{generate_dataset, DatasetConfig};
+use fexiot_obs::cli::{parse_env, Spec, OBS_FLAGS, THREADS};
 use fexiot_tensor::Rng;
 
 fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // Consume `--threads N` before the obs flags; the pool must be pinned
-    // (from it, else FEXIOT_THREADS) before any stage touches it.
-    let threads = argv.iter().position(|a| a == "--threads").map(|pos| {
-        let value = argv.get(pos + 1).cloned().unwrap_or_default();
-        argv.drain(pos..(pos + 2).min(argv.len()));
-        value
-    });
-    if let Err(e) = fexiot::set_threads_from(threads.as_deref()) {
+    let args = parse_env(&Spec::new("", &[&[THREADS], OBS_FLAGS]));
+    // The pool is pinned (from --threads, else FEXIOT_THREADS) before any
+    // stage touches it.
+    if let Err(e) = fexiot::set_threads_from(args.value("threads")) {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let obs = match fexiot_obs::ObsCli::from_argv(&argv) {
-        Ok(obs) => obs,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let obs = fexiot_obs::ObsCli::from_args(&args);
     let telemetry = match obs.fleet_telemetry() {
         Ok(t) => t,
         Err(e) => {
