@@ -184,14 +184,19 @@ fn make_dataset(
 }
 
 /// Opens the artifact store named by `--store DIR` or its alias
-/// `--checkpoint-dir DIR` (None without either).
-fn open_store(args: &Args) -> Result<Option<Store>, Failure> {
+/// `--checkpoint-dir DIR` (None without either). Commands that cache
+/// artifacts create the store on first use; `store list` and `store gc`
+/// only inspect one, so a missing directory is an error for them.
+fn open_store(args: &Args, command: &str) -> Result<Option<Store>, Failure> {
     let dir = match (args.value("store"), args.value("checkpoint-dir")) {
         (Some(_), Some(_)) => return Err(usage("--store and --checkpoint-dir name one store")),
         (None, None) => return Ok(None),
-        (Some(dir), None) | (None, Some(dir)) => dir,
+        (Some(dir), None) | (None, Some(dir)) => std::path::Path::new(dir),
     };
-    let store = Store::open(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+    if command.starts_with("store ") && !dir.is_dir() {
+        return Err(format!("{command}: no store at {}", dir.display()).into());
+    }
+    let store = Store::open(dir).map_err(|e| e.to_string())?;
     if let Some(note) = &store.recovered {
         eprintln!("store: {note}");
     }
@@ -332,7 +337,7 @@ fn run(
     trace: &mut Option<fexiot_obs::CausalGraph>,
     stream_section: &mut Option<fexiot_obs::Json>,
 ) -> Result<(), Failure> {
-    let mut store = open_store(args)?;
+    let mut store = open_store(args, command)?;
     match command {
         "train" => {
             let out_path = args.value("out");

@@ -4,7 +4,8 @@
 //! outside its domain, or a word outside a flag's choices exits 2 with a
 //! message that names it, before any work and instead of running with a
 //! default or a clamped value; a hostile wire file exits 1 with an error,
-//! never a crash.
+//! never a crash; and inspecting a store that does not exist exits 1
+//! without creating it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -299,5 +300,24 @@ fn deeply_nested_wire_line_is_an_error_not_a_crash() {
         !err.contains("overflowed") && !err.contains("panicked"),
         "stderr: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_inspection_of_a_missing_directory_exits_1_and_creates_nothing() {
+    let dir = fresh_dir("nostore");
+    let missing = dir.join("missing");
+    let store = missing.to_str().unwrap();
+    for command in ["list", "gc"] {
+        let out = cli(&["store", command, "--store", store], Some("1"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "store {command}: {err}");
+        assert!(
+            err.contains(store),
+            "store {command} must name {store}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "store {command} printed to stdout");
+        assert!(!missing.exists(), "store {command} created {store}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,18 @@
 //! End-to-end observability: a tiny federated run with the global registry
 //! enabled must export a well-formed run report whose span tree covers the
 //! data pipeline and the federated rounds, and whose non-timing fields are
-//! bit-identical across two same-seed runs.
+//! bit-identical across two same-seed runs. Every view of a faulty round —
+//! the round report, the registry's counters and the watch frame rendered
+//! from the event stream — must agree.
 
 use fexiot::{build_federation, FederationConfig, FexIotConfig};
+use fexiot_fed::{
+    Corruption, Failover, FaultPlan, RoundReport, RoundTelemetry, Sampling, Topology,
+};
 use fexiot_graph::{generate_dataset, DatasetConfig};
-use fexiot_obs::{deterministic_json, validate_report, Json, Snapshot, Timing};
+use fexiot_obs::{
+    deterministic_json, validate_report, Json, Registry, Snapshot, Timing, WatchState,
+};
 use fexiot_tensor::Rng;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -273,5 +280,115 @@ fn collapsed_stacks_round_trip_against_report_span_paths() {
             flame_paths.contains(&p),
             "report span path {p:?} missing from the flame export"
         );
+    }
+}
+
+/// A faulty 10-client federation on two aggregators, with a full or a
+/// sampled cohort, streaming timing-free JSONL from a registry of its own.
+/// Returns the round reports, the registry's final snapshot and the stream
+/// text.
+fn faulty_streamed_run(sampling: Sampling) -> (Vec<RoundReport>, Snapshot, String) {
+    let reg = Arc::new(Registry::new());
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    reg.set_stream(Box::new(buf.clone()), "views", false);
+
+    let mut rng = Rng::seed_from_u64(21);
+    let mut cfg = DatasetConfig::small_ifttt();
+    cfg.graph_count = 60;
+    let ds = generate_dataset(&cfg, &mut rng);
+    let (train, _test) = ds.train_test_split(0.8, &mut rng);
+    let mut pipeline = FexIotConfig::default().with_seed(21);
+    pipeline.contrastive.epochs = 1;
+    pipeline.contrastive.pairs_per_epoch = 8;
+    let config = FederationConfig {
+        n_clients: 10,
+        rounds: 4,
+        pipeline,
+        faults: FaultPlan::none()
+            .with_seed(21)
+            .with_dropout(0.2)
+            .with_straggler(0.3)
+            .with_msg_loss(0.3)
+            .with_corruption(0.15, Corruption::NonFinite)
+            .with_agg_dropout(0.3),
+        sampling,
+        topology: Topology::hierarchical(2, Failover::Reassign),
+        quorum: 0.2,
+        deadline_ticks: Some(6),
+        ..Default::default()
+    };
+    let mut sim = build_federation(&train, &config);
+    sim.attach_obs(Arc::clone(&reg));
+    let reports = sim.run();
+    drop(reg.take_stream());
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("stream is UTF-8");
+    (reports, reg.snapshot(), text)
+}
+
+#[test]
+fn every_view_of_a_round_agrees_with_its_telemetry() {
+    // The pipeline under `build_federation` records into the global
+    // registry whenever another test has it enabled.
+    let _g = obs_lock();
+    // Each round counter and the telemetry field it totals.
+    type Field = fn(&RoundTelemetry) -> usize;
+    let fields: [(&str, Field); 12] = [
+        ("fed.sim.sampled", |t| t.sampled),
+        ("fed.sim.participants", |t| t.participants),
+        ("fed.sim.dropped", |t| t.dropped),
+        ("fed.sim.quarantined", |t| t.quarantined),
+        ("fed.sim.stale_accepted", |t| t.stale_accepted),
+        ("fed.sim.retried_messages", |t| t.retried_messages),
+        ("fed.sim.lost_messages", |t| t.lost_messages),
+        ("fed.sim.backoff_ticks", |t| t.backoff_ticks),
+        ("fed.agg.deadline_missed", |t| t.deadline_missed),
+        ("fed.agg.down", |t| t.agg_down),
+        ("fed.agg.reassigned", |t| t.reassigned),
+        ("fed.agg.quorum_aborts", |t| usize::from(t.quorum_aborted)),
+    ];
+    for sampling in [Sampling::Full, Sampling::FixedK(6)] {
+        let (reports, snap, text) = faulty_streamed_run(sampling);
+        let last = reports.last().expect("rounds ran").faults;
+        assert!(
+            reports.iter().any(|r| r.faults.dropped > 0),
+            "{sampling:?}: no round dropped anyone"
+        );
+
+        // The watch frame shows the last round as its telemetry reports it.
+        let frame = WatchState::from_stream(&text)
+            .expect("stream parses")
+            .render();
+        for line in [
+            format!(
+                "cohort: sampled {}  participants {}  dropped {}  quarantined {}",
+                last.sampled, last.participants, last.dropped, last.quarantined
+            ),
+            format!(
+                "aggregators: down {}  reassigned {}  quorum aborts {}  deadline misses {}",
+                last.agg_down,
+                last.reassigned,
+                usize::from(last.quorum_aborted),
+                last.deadline_missed
+            ),
+            format!(
+                "attribution: stale accepted {}  retries {}  lost msgs {}  backoff ticks {}",
+                last.stale_accepted, last.retried_messages, last.lost_messages, last.backoff_ticks
+            ),
+        ] {
+            assert!(
+                frame.lines().any(|l| l == line),
+                "{sampling:?}: frame lacks {line:?}:\n{frame}"
+            );
+        }
+
+        // Each counter totals its field over the rounds.
+        for (name, field) in fields {
+            let total: usize = reports.iter().map(|r| field(&r.faults)).sum();
+            assert_eq!(
+                snap.counters.get(name).copied(),
+                Some(total as u64),
+                "{sampling:?}: counter {name}"
+            );
+        }
     }
 }

@@ -10,6 +10,12 @@
 //! anything reaches the aggregator or the trust scorer, and round-level
 //! checkpoint/restore. `FaultPlan::none()` keeps the simulator bit-identical
 //! to the fault-free implementation (locked by `tests/golden.rs`).
+//!
+//! Each round keeps one record: the fault draws plus one fate per client,
+//! each fact written once by the phase that learns it. Every report of the
+//! round — [`RoundTelemetry`], the `fed.*` counters and gauges, the
+//! `fed.round.*` series and SLO verdicts, the critical path and the causal
+//! trace — is a fold over that record at round end.
 
 use crate::client::Client;
 use crate::comm::CommStats;
@@ -23,8 +29,8 @@ use fexiot_gnn::ContrastiveConfig;
 use fexiot_graph::GraphDataset;
 use fexiot_ml::{binary_cosine_split, Metrics};
 use fexiot_obs::{
-    CausalBuilder, CausalGraph, ClientRoundCost, CriticalPathEntry, FleetTelemetry, Registry,
-    RoundCost,
+    slowest_client, CausalBuilder, CausalGraph, ClientTicks, CriticalPathEntry, Entity,
+    FleetTelemetry, Registry,
 };
 use fexiot_tensor::codec::{ByteReader, ByteWriter, CodecError};
 use fexiot_tensor::matrix::Matrix;
@@ -134,7 +140,8 @@ pub struct RoundTelemetry {
     /// Clients whose delivered update failed validation (NaN/Inf or norm
     /// guard) and was excluded before aggregation.
     pub quarantined: usize,
-    /// Subset of `participants` accepted late with decayed weight.
+    /// Stragglers whose late update was within the staleness bound, and so
+    /// accepted with decayed weight (unless a later check dropped it).
     pub stale_accepted: usize,
     /// Message retransmissions this round (also priced in `CommStats`).
     pub retried_messages: usize,
@@ -160,6 +167,53 @@ pub struct RoundTelemetry {
     pub slo_failures: usize,
 }
 
+/// Each counted [`RoundTelemetry`] field's registry counter and its
+/// per-round series, in [`RoundTelemetry::counts`] order. Every round
+/// writes each counter once, zeros included, so a counter's total is its
+/// field summed over the rounds.
+const ROUND_COUNTS: [[&str; 2]; 12] = [
+    ["fed.sim.sampled", "fed.round.sampled"],
+    ["fed.sim.participants", "fed.round.participants"],
+    ["fed.sim.dropped", "fed.round.dropped"],
+    ["fed.sim.quarantined", "fed.round.quarantined"],
+    ["fed.sim.stale_accepted", "fed.round.stale_accepted"],
+    ["fed.sim.retried_messages", "fed.round.retried_messages"],
+    ["fed.sim.lost_messages", "fed.round.lost_messages"],
+    ["fed.sim.backoff_ticks", "fed.round.backoff_ticks"],
+    ["fed.agg.deadline_missed", "fed.round.deadline_missed"],
+    ["fed.agg.down", "fed.round.agg_down"],
+    ["fed.agg.reassigned", "fed.round.reassigned"],
+    ["fed.agg.quorum_aborts", "fed.round.quorum_aborted"],
+];
+
+/// Each round's gauges and their series: mean local loss, then the round's
+/// traffic in bytes and in messages (both directions).
+const ROUND_GAUGES: [[&str; 2]; 3] = [
+    ["fed.sim.mean_loss", "fed.round.mean_loss"],
+    ["fed.comm.round_bytes", "fed.round.comm_bytes"],
+    ["fed.comm.round_messages", "fed.round.comm_messages"],
+];
+
+impl RoundTelemetry {
+    /// The counted fields, in [`ROUND_COUNTS`] order.
+    fn counts(&self) -> [usize; 12] {
+        [
+            self.sampled,
+            self.participants,
+            self.dropped,
+            self.quarantined,
+            self.stale_accepted,
+            self.retried_messages,
+            self.lost_messages,
+            self.backoff_ticks,
+            self.deadline_missed,
+            self.agg_down,
+            self.reassigned,
+            self.quorum_aborted as usize,
+        ]
+    }
+}
+
 /// Per-round report.
 #[derive(Debug, Clone)]
 pub struct RoundReport {
@@ -175,65 +229,194 @@ pub struct RoundReport {
     pub comm_error: Option<String>,
 }
 
-/// Server-side view of one round under fault injection: who contributes,
-/// what the server actually received, and at what weight.
-struct RoundState {
-    faults: RoundFaults,
-    /// Eligible for aggregation: delivered a valid (non-quarantined) update.
-    contributors: Vec<bool>,
-    /// Server-side copies that differ from the client's true parameters
-    /// (in-flight corruption). `None` = received verbatim.
-    observed: Vec<Option<ParamVec>>,
+/// One client's fate in one round. The phase that learns a fact writes it
+/// here once; the round's reports are folds over these.
+#[derive(Debug, Clone, Default)]
+struct Fate {
+    /// In this round's cohort.
+    sampled: bool,
+    /// Serving aggregator after failover (`Some(0)` on flat topologies);
+    /// `None` = no path to the server this round (also every unsampled
+    /// client).
+    route: Option<usize>,
+    /// Rerouted off its dead home aggregator to a survivor.
+    rerouted: bool,
+    /// Straggler delay of the serving aggregator (0 when on time or flat).
+    agg_delay: usize,
+    /// Ran local training this round.
+    trained: bool,
+    /// A straggler the server waited out: the wait in ticks (bounded by
+    /// the staleness window) and whether the late update was accepted.
+    straggler: Option<(usize, bool)>,
+    /// The upload was lost after every retry.
+    lost_upload: bool,
+    /// The upload reached the server, possibly after retries.
+    delivered: bool,
+    /// Ticks of the report path (straggler wait + upload backoff +
+    /// aggregator delay) when it blew the round deadline.
+    deadline_miss: Option<usize>,
+    /// The delivered update failed validation and was excluded.
+    quarantined: bool,
+    /// Eligible for aggregation: delivered a valid update in time.
+    contributes: bool,
     /// Aggregation-weight multiplier from staleness decay (1.0 = on time).
-    stale_weight: Vec<f64>,
+    stale_weight: f64,
+    /// The server's copy when the wire corrupted it (`None` = verbatim).
+    observed: Option<ParamVec>,
+    /// Retry-backoff ticks, retransmissions and messages lost for good,
+    /// summed over both links.
+    backoff_ticks: usize,
+    retries: usize,
+    lost_messages: usize,
 }
 
-impl RoundState {
-    fn clean(n: usize) -> Self {
-        Self {
-            faults: RoundFaults::clean(n),
-            contributors: vec![true; n],
-            observed: vec![None; n],
-            stale_weight: vec![1.0; n],
-        }
+impl Fate {
+    /// Books one message that took `attempts` transmissions.
+    fn charge(&mut self, attempts: usize) {
+        self.backoff_ticks += backoff_ticks_for(attempts);
+        self.retries += attempts.saturating_sub(1);
     }
+}
 
-    /// What the server received from client `c` (corrupted copy if the wire
-    /// damaged it, the client's own parameters otherwise).
-    fn observed_params<'a>(&'a self, clients: &'a [Client], c: usize) -> &'a ParamVec {
-        self.observed[c]
+/// Everything one round learned: the fault draws and one [`Fate`] per
+/// client, plus the round-wide outcomes.
+struct Round {
+    index: usize,
+    faults: RoundFaults,
+    /// Aggregator draws; empty when the round runs flat.
+    aggs: AggRoundFaults,
+    fates: Vec<Fate>,
+    mean_loss: f64,
+    /// Reported-weight fraction minus the quorum gate (positive = headroom),
+    /// when the gate was evaluated.
+    quorum_margin: Option<f64>,
+    quorum_met: bool,
+    /// Traffic totals when the round began.
+    comm_before: CommStats,
+}
+
+impl Round {
+    /// What the server received from client `c` (the corrupted copy if the
+    /// wire damaged it, the client's own parameters otherwise).
+    fn observed<'a>(&'a self, clients: &'a [Client], c: usize) -> &'a ParamVec {
+        self.fates[c]
+            .observed
             .as_ref()
             .unwrap_or_else(|| clients[c].encoder.params())
     }
 
+    /// Transmissions client `c`'s delivered upload took.
     fn up_attempts(&self, c: usize) -> usize {
         self.faults.up_attempts[c].unwrap_or(1)
     }
 }
 
-/// Fleet-structure context for one round, fixed before any update is
-/// received: who was sampled, which aggregator serves each client (after
-/// failover), how late that aggregator is, and the round deadline.
-struct RoundCtx {
-    /// In this round's cohort.
-    sampled: Vec<bool>,
-    /// Serving aggregator per client after failover; `None` = no path to
-    /// the server this round (home aggregator down, `Failover::Skip` or no
-    /// survivor). Always `Some(0)` on flat topologies.
-    route: Vec<Option<usize>>,
-    /// Straggler delay of the serving aggregator (0 when on time or flat).
-    agg_delay: Vec<usize>,
-    deadline: Option<usize>,
+/// The causal trace recorder plus the chains that outlive a round: each
+/// client's and aggregator's newest down node.
+struct CausalTrace {
+    builder: CausalBuilder,
+    client_down: Vec<Option<u64>>,
+    agg_down: Vec<Option<u64>>,
 }
 
-impl RoundCtx {
-    /// The pre-fleet context: everyone sampled, flat routing, no deadline.
-    fn full(n: usize) -> Self {
-        Self {
-            sampled: vec![true; n],
-            route: vec![Some(0); n],
-            agg_delay: vec![0; n],
-            deadline: None,
+impl CausalTrace {
+    /// Folds one round into the graph in the order the round met its facts:
+    /// per client a crash, rejoin or dropout; per aggregator an outage,
+    /// rejoin or straggle; reassigns; straggler verdicts; lost uploads;
+    /// retries; deadline misses; quarantines; a quorum abort. Node
+    /// timestamps are cumulative, so this order is part of the trace.
+    fn record(&mut self, round: &Round, topo: &Topology, injector: &FaultInjector) {
+        let (b, r) = (&mut self.builder, round.index);
+        let client = Entity::Client;
+        b.begin_round(r);
+        let mut rejoined = vec![None; round.fates.len()];
+        for (c, fate) in round.fates.iter().enumerate() {
+            let participation = round.faults.participation[c];
+            if participation == Participation::Crashed {
+                let id = b.fault(r, client(c), "crash", 1);
+                if let Some(prev) = self.client_down[c].replace(id) {
+                    b.follows(prev, id);
+                }
+                continue;
+            }
+            if let Some(prev) = self.client_down[c].take() {
+                let id = b.fault(r, client(c), "rejoin", 1);
+                b.follows(prev, id);
+                rejoined[c] = Some(id);
+            }
+            if fate.sampled && participation == Participation::Dropout {
+                b.fault(r, client(c), "dropout", 1);
+            }
+        }
+        for (a, &status) in round.aggs.status.iter().enumerate() {
+            let agg = Entity::Aggregator(a);
+            if status == AggStatus::Down {
+                // Costed at the cohort the outage put at risk.
+                let homed = (0..round.fates.len())
+                    .filter(|&c| round.fates[c].sampled && topo.aggregator_of(c) == a)
+                    .count();
+                let kind = if injector.agg_crashed(a, r) {
+                    "agg_crash"
+                } else {
+                    "agg_dropout"
+                };
+                let id = b.fault(r, agg, kind, homed as u64);
+                if let Some(prev) = self.agg_down[a].replace(id) {
+                    b.follows(prev, id);
+                }
+                continue;
+            }
+            if let Some(prev) = self.agg_down[a].take() {
+                let id = b.fault(r, agg, "agg_rejoin", 1);
+                b.follows(prev, id);
+            }
+            if let AggStatus::Straggler { delay } = status {
+                b.fault(r, agg, "agg_straggler", delay as u64);
+            }
+        }
+        for c in (0..round.fates.len()).filter(|&c| round.fates[c].rerouted) {
+            let id = b.fault(r, client(c), "agg_reassign", 1);
+            if let Some(down) = self.agg_down[topo.aggregator_of(c)] {
+                b.follows(down, id);
+            }
+        }
+        for (c, fate) in round.fates.iter().enumerate() {
+            if let Some((wait, accepted)) = fate.straggler {
+                let id = b.fault(r, client(c), "straggler", wait as u64);
+                if let Some(rejoin) = rejoined[c] {
+                    b.follows(rejoin, id);
+                }
+                let verdict = if accepted {
+                    "stale_accept"
+                } else {
+                    "stale_reject"
+                };
+                let verdict = b.fault(r, client(c), verdict, 1);
+                b.follows(id, verdict);
+            }
+        }
+        // Per-client events, each kind in client order and costed at its
+        // ticks. A retry is an upload that landed only after retransmission
+        // (its backoff is nonzero).
+        let mut each = |kind: &str, ticks: &dyn Fn(usize, &Fate) -> Option<usize>| {
+            for (c, fate) in round.fates.iter().enumerate() {
+                if let Some(ticks) = ticks(c, fate) {
+                    b.fault(r, client(c), kind, ticks as u64);
+                }
+            }
+        };
+        let lost = backoff_ticks_for(1 + injector.plan().max_retries);
+        let backoff = |c: usize| backoff_ticks_for(round.up_attempts(c));
+        each("lost_upload", &|_, f| f.lost_upload.then_some(lost));
+        each("retry", &|c, f| {
+            (f.delivered && backoff(c) > 0).then(|| backoff(c))
+        });
+        each("deadline_miss", &|_, f| f.deadline_miss);
+        each("quarantine", &|_, f| f.quarantined.then_some(1));
+        if !round.quorum_met {
+            let fates = round.fates.iter();
+            let missing = fates.filter(|f| f.sampled && !f.contributes).count();
+            b.fault(r, Entity::Round, "quorum_abort", missing as u64);
         }
     }
 }
@@ -257,10 +440,9 @@ pub struct FedSim {
     /// Per-round cohort source; owns a third dedicated RNG stream so
     /// sampling randomness perturbs neither training nor fault randomness.
     sampler: ClientSampler,
-    /// Observability registry backing [`RoundTelemetry`]: degradation events
-    /// increment `fed.sim.*` counters here, and the round report reads the
-    /// per-round deltas back. Private and always-enabled by default so
-    /// concurrent simulations in one process never share counters;
+    /// Observability registry the round reports write their `fed.*`
+    /// counters, gauges and spans into. Private by default so concurrent
+    /// simulations in one process never share counters;
     /// [`FedSim::attach_obs`] substitutes a shared registry.
     obs: Arc<Registry>,
     /// One child registry per client: client-side instrumentation (the
@@ -269,40 +451,23 @@ pub struct FedSim {
     /// its training — federated trace merging. Reset after every merge.
     client_obs: Vec<Arc<Registry>>,
     /// Fleet-health telemetry: per-round time-series samples plus optional
-    /// SLO evaluation, snapshotted at the end of every round. Pure obs data
-    /// like `cost_acc` — never fed back into simulation state, and not
-    /// checkpointed. Boxed so the common no-telemetry path pays one pointer.
+    /// SLO evaluation, folded from every round's record. Like the critical
+    /// path and the causal trace, it never feeds back into simulation state
+    /// and is not checkpointed. Boxed so the common no-telemetry path pays
+    /// one pointer.
     telemetry: Option<Box<FleetTelemetry>>,
-    /// Per-client simulated-tick cost attribution for the round in flight.
-    /// Pure obs data: integer bookkeeping on the side, never fed back into
-    /// training or RNG state, and not checkpointed.
-    cost_acc: Vec<ClientRoundCost>,
-    /// Completed rounds' cost attribution, input to [`FedSim::critical_path`].
-    round_costs: Vec<RoundCost>,
-    /// Causal trace recorder ([`FedSim::enable_causal_trace`]): every fault
-    /// realization mirrored as graph nodes/edges, built on the coordinator
-    /// thread only. Pure obs data like `cost_acc` — never fed back into
-    /// simulation state, and not checkpointed.
-    causal: Option<Box<CausalBuilder>>,
+    /// Each completed round's critical-path entry, for
+    /// [`FedSim::critical_path`].
+    path: Vec<CriticalPathEntry>,
+    /// Causal trace recorder ([`FedSim::enable_causal_trace`]), folded from
+    /// each round's record on the coordinator thread.
+    causal: Option<Box<CausalTrace>>,
     /// Dominant fault kind behind the latest failing SLO evaluation
     /// (requires both telemetry and causal tracing; `None` while passing).
     last_root_cause: Option<String>,
     rng: Rng,
     round: usize,
 }
-
-/// Counters that back [`RoundTelemetry`]. A round report is the delta of
-/// these between round start and round end, so the reported values are
-/// bit-identical to the hand-rolled accumulators they replaced (locked by
-/// `tests/golden.rs`) while the registry keeps whole-run totals.
-const ROUND_COUNTERS: [&str; 6] = [
-    "fed.sim.participants",
-    "fed.sim.quarantined",
-    "fed.sim.stale_accepted",
-    "fed.sim.retried_messages",
-    "fed.sim.lost_messages",
-    "fed.sim.backoff_ticks",
-];
 
 impl FedSim {
     /// Builds a federation. All clients must share the encoder architecture.
@@ -353,8 +518,7 @@ impl FedSim {
             obs: Arc::new(Registry::new()),
             client_obs,
             telemetry: None,
-            cost_acc: Vec::new(),
-            round_costs: Vec::new(),
+            path: Vec::new(),
             causal: None,
             last_root_cause: None,
             rng,
@@ -364,11 +528,9 @@ impl FedSim {
 
     /// Substitutes the simulator's private observability registry (for
     /// example with the process-global one, so a CLI run exports a single
-    /// report covering pipeline + federation). The registry is force-enabled
-    /// because [`RoundTelemetry`] is computed from its counters — a disabled
-    /// registry would zero every fault report.
+    /// report covering pipeline + federation). Round reports never read the
+    /// registry back, so a disabled one simply records nothing.
     pub fn attach_obs(&mut self, reg: Arc<Registry>) {
-        reg.set_enabled(true);
         self.obs = reg;
     }
 
@@ -402,19 +564,19 @@ impl FedSim {
     /// aggregator crash/reassign, deadline misses, quorum aborts) is
     /// mirrored as nodes and edges of a [`CausalGraph`] whose IDs derive
     /// from the run seed — byte-identical at any thread width. Pure obs
-    /// data: like `cost_acc`, it never feeds back into simulation state and
-    /// is not checkpointed.
+    /// data: it never feeds back into simulation state and is not
+    /// checkpointed.
     pub fn enable_causal_trace(&mut self, run: &str) {
-        self.causal = Some(Box::new(CausalBuilder::new(
-            run,
-            self.config.seed,
-            self.clients.len(),
-        )));
+        self.causal = Some(Box::new(CausalTrace {
+            builder: CausalBuilder::new(run, self.config.seed),
+            client_down: vec![None; self.clients.len()],
+            agg_down: vec![None; self.config.topology.aggregators.max(1)],
+        }));
     }
 
     /// Detaches and finalizes the causal trace, if recording was enabled.
     pub fn take_causal_trace(&mut self) -> Option<CausalGraph> {
-        self.causal.take().map(|b| b.finish())
+        self.causal.take().map(|t| t.builder.finish())
     }
 
     /// Dominant fault kind attributed to the latest failing SLO evaluation
@@ -428,13 +590,13 @@ impl FedSim {
         (0..self.config.rounds).map(|_| self.run_round()).collect()
     }
 
-    /// One federated round: local training, fault realization, validation,
-    /// then aggregation over the surviving subset.
+    /// One federated round in five phases: draw the round's faults, cohort
+    /// and routes; train; receive the updates; gate on the quorum and
+    /// aggregate; fold the round's record into its reports.
     pub fn run_round(&mut self) -> RoundReport {
-        let n = self.clients.len();
-        if n == 0 {
+        if self.clients.is_empty() {
             // Unreachable through the constructors; kept as a hard guard so
-            // an empty federation can never emit NaN (0.0 / 0) reports.
+            // an emptied federation can never report NaN (0.0 / 0).
             self.round += 1;
             return RoundReport {
                 round: self.round,
@@ -447,219 +609,135 @@ impl FedSim {
         let obs = Arc::clone(&self.obs);
         obs.mark(&format!("round[{}]", self.round));
         let _round_span = obs.span(format!("round[{}]", self.round));
-        let base: Vec<u64> = ROUND_COUNTERS
-            .iter()
-            .map(|name| obs.counter_value(name))
-            .collect();
-        let deadline_base = obs.counter_value("fed.agg.deadline_missed");
-        let fault_active = self.injector.plan().is_active();
-        let comm_before = self.comm;
-        let round_faults = if fault_active {
-            self.injector.draw_round(self.round)
+        let mut round = self.draw();
+        self.train(&mut round, &obs);
+        {
+            let _s = obs.span("fed.sim.receive");
+            self.receive(&mut round);
+        }
+        self.commit(&mut round, &obs);
+        self.report(round)
+    }
+
+    /// True when an aggregator tier sits between clients and server.
+    /// LocalOnly has no server to forward to, so it always runs flat.
+    fn hierarchical(&self) -> bool {
+        self.config.topology.is_hierarchical()
+            && !matches!(self.config.strategy, Strategy::LocalOnly)
+    }
+
+    /// Phase 1: the round's fault draws, its cohort (weighted by sample
+    /// count, from the sampler's own stream) and failover routes, all fixed
+    /// on the calling thread before any client trains. A full cohort on a
+    /// flat topology makes no extra draws, so pre-fleet rounds stay
+    /// bit-identical (locked by `tests/golden.rs`).
+    fn draw(&mut self) -> Round {
+        let (n, index) = (self.clients.len(), self.round);
+        let faults = if self.injector.plan().is_active() {
+            self.injector.draw_round(index)
         } else {
             RoundFaults::clean(n)
         };
-
-        // Fleet structure: draw this round's cohort (weighted by sample
-        // count, from the sampler's own stream), realize aggregator faults,
-        // and resolve failover routing. `Sampling::Full` + a flat topology
-        // short-circuits to the pre-fleet context: no extra RNG draws, no
-        // extra counters, bit-identical rounds (locked by `tests/golden.rs`).
-        let topo = self.config.topology;
-        // LocalOnly has no server, so there is nothing for an aggregator
-        // tier to forward to; treat it as flat.
-        let hierarchical =
-            topo.is_hierarchical() && !matches!(self.config.strategy, Strategy::LocalOnly);
-        let sampling_active = self.config.sampling.is_active(n);
-        let mut ctx = RoundCtx::full(n);
-        ctx.deadline = self.config.deadline_ticks;
-        let cohort: Vec<usize> = if sampling_active {
+        let cohort: Vec<usize> = if self.config.sampling.is_active(n) {
             let weights: Vec<f64> = self
                 .clients
                 .iter()
                 .map(|c| c.sample_count() as f64)
                 .collect();
-            let cohort = self.sampler.draw_cohort(&weights);
-            ctx.sampled = vec![false; n];
-            for &c in &cohort {
-                ctx.sampled[c] = true;
-            }
-            obs.counter_add("fed.sim.sampled", cohort.len() as u64);
-            cohort
+            self.sampler.draw_cohort(&weights)
         } else {
             (0..n).collect()
         };
-        let agg_faults = if hierarchical && self.injector.plan().agg_faults_active() {
-            self.injector.draw_agg_round(self.round, topo.aggregators)
+        let topo = self.config.topology;
+        let hierarchical = self.hierarchical();
+        let aggs = if !hierarchical {
+            AggRoundFaults::clean(0)
+        } else if self.injector.plan().agg_faults_active() {
+            self.injector.draw_agg_round(index, topo.aggregators)
         } else {
-            AggRoundFaults::clean(topo.aggregators.max(1))
+            AggRoundFaults::clean(topo.aggregators)
         };
-        let mut agg_down = 0usize;
-        let mut reassigned = 0usize;
-        if hierarchical {
-            let up: Vec<bool> = agg_faults
-                .status
-                .iter()
-                .map(|s| !matches!(s, AggStatus::Down))
-                .collect();
-            agg_down = agg_faults.down_count();
-            for &c in &cohort {
-                let home = topo.aggregator_of(c);
-                ctx.route[c] = Some(home);
-                if up[home] {
-                    continue;
-                }
-                ctx.route[c] = match topo.failover {
-                    // Ring failover: the cohort reroutes to the next
-                    // surviving aggregator clockwise from home.
-                    Failover::Reassign => (1..topo.aggregators)
-                        .map(|d| (home + d) % topo.aggregators)
-                        .find(|&a| up[a])
-                        .inspect(|_| reassigned += 1),
-                    Failover::Skip => None,
-                };
+        let up = |a: usize| aggs.status[a] != AggStatus::Down;
+        let mut fates = vec![
+            Fate {
+                stale_weight: 1.0,
+                ..Fate::default()
+            };
+            n
+        ];
+        for c in cohort {
+            let fate = &mut fates[c];
+            fate.sampled = true;
+            fate.route = Some(0);
+            if !hierarchical {
+                continue;
             }
-            for &c in &cohort {
-                if let Some(AggStatus::Straggler { delay }) =
-                    ctx.route[c].map(|a| agg_faults.status[a])
-                {
-                    ctx.agg_delay[c] = delay;
-                }
-            }
-            if agg_down > 0 {
-                obs.counter_add("fed.agg.down", agg_down as u64);
-            }
-            if reassigned > 0 {
-                obs.counter_add("fed.agg.reassigned", reassigned as u64);
+            // Ring failover: a cohort behind a dead aggregator reroutes to
+            // the next survivor clockwise from home, or sits the round out.
+            let home = topo.aggregator_of(c);
+            fate.route = if up(home) {
+                Some(home)
+            } else if topo.failover == Failover::Reassign {
+                (1..topo.aggregators)
+                    .map(|d| (home + d) % topo.aggregators)
+                    .find(|&a| up(a))
+            } else {
+                None
+            };
+            fate.rerouted = !up(home) && fate.route.is_some();
+            if let Some(AggStatus::Straggler { delay }) = fate.route.map(|a| aggs.status[a]) {
+                fate.agg_delay = delay;
             }
         }
-
-        // Causal trace: mirror this round's fault realization as graph
-        // nodes, on the coordinator thread in client/aggregator order. The
-        // draws above are fixed before the training scatter, so the graph is
-        // a pure function of the seed — byte-identical at any thread width.
-        if self.causal.is_some() {
-            let round = self.round;
-            let injector = &self.injector;
-            let cb = self.causal.as_deref_mut().expect("checked above");
-            cb.begin_round(round);
-            for c in 0..n {
-                match round_faults.participation[c] {
-                    // `Crashed` only ever comes from the multi-round crash
-                    // ledger, so it is a crash window — not a transient drop.
-                    Participation::Crashed => cb.client_crash(round, c),
-                    Participation::Dropout => {
-                        cb.client_up(round, c);
-                        if ctx.sampled[c] {
-                            cb.client_dropout(round, c);
-                        }
-                    }
-                    _ => cb.client_up(round, c),
-                }
-            }
-            if hierarchical {
-                let aggs = topo.aggregators.max(1);
-                let up: Vec<bool> = agg_faults
-                    .status
-                    .iter()
-                    .map(|s| !matches!(s, AggStatus::Down))
-                    .collect();
-                let mut affected = vec![0u64; aggs];
-                for &c in &cohort {
-                    let home = topo.aggregator_of(c);
-                    if !up[home] {
-                        affected[home] += 1;
-                    }
-                }
-                let mut down_nodes: Vec<Option<u64>> = vec![None; aggs];
-                for (a, status) in agg_faults.status.iter().enumerate() {
-                    match *status {
-                        AggStatus::Down => {
-                            let id = if injector.agg_crashed(a, round) {
-                                cb.agg_crash(round, a, affected[a])
-                            } else {
-                                cb.agg_dropout(round, a, affected[a])
-                            };
-                            down_nodes[a] = Some(id);
-                        }
-                        AggStatus::Straggler { delay } => {
-                            cb.agg_up(round, a);
-                            cb.agg_straggler(round, a, delay as u64);
-                        }
-                        AggStatus::Up => cb.agg_up(round, a),
-                    }
-                }
-                for &c in &cohort {
-                    let home = topo.aggregator_of(c);
-                    if !up[home] && ctx.route[c].is_some() {
-                        cb.agg_reassign(round, c, down_nodes[home]);
-                    }
-                }
-            }
+        Round {
+            index,
+            faults,
+            aggs,
+            fates,
+            mean_loss: 0.0,
+            quorum_margin: None,
+            quorum_met: true,
+            comm_before: self.comm,
         }
+    }
 
-        self.cost_acc = (0..n)
-            .map(|client| ClientRoundCost {
-                client,
-                ..Default::default()
-            })
-            .collect();
-
-        // Local training on every sampled, online, routable client
-        // (stragglers train too — they are slow, not dead; a cohort behind a
-        // dead aggregator with no failover sits the round out entirely).
-        // The fault plan and routing were fixed above on the calling thread,
-        // so the scatter sees a fixed train set; each client trains against
-        // its own RNG stream and its own child registry (`with_registry`
-        // routes the trainer's global-registry instrumentation there), which
-        // keeps both the parameter math and the traces independent of worker
-        // interleaving.
+    /// Phase 2: local training on every sampled, online, routable client
+    /// (stragglers train too — they are slow, not dead; a cohort behind a
+    /// dead aggregator with no failover sits the round out). Each client
+    /// trains against its own RNG stream and its own child registry
+    /// (`with_registry` routes the trainer's global-registry instrumentation
+    /// there), which keeps both the parameter math and the traces
+    /// independent of worker interleaving.
+    fn train(&mut self, round: &mut Round, obs: &Arc<Registry>) {
         let local_cfg = ContrastiveConfig {
-            seed: self.config.local.seed ^ (self.round as u64) << 17,
+            seed: self.config.local.seed ^ (round.index as u64) << 17,
             ..self.config.local.clone()
         };
-        let train_ids: Vec<usize> = cohort
-            .iter()
-            .copied()
-            .filter(|&c| round_faults.participation[c].trains() && ctx.route[c].is_some())
+        let train_ids: Vec<usize> = (0..round.fates.len())
+            .filter(|&c| round.fates[c].route.is_some() && round.faults.participation[c].trains())
             .collect();
-        let losses: Vec<f64> = {
-            let client_obs = &self.client_obs;
+        let client_obs = &self.client_obs;
+        let losses: Vec<f64> =
             fexiot_par::pool().map_subset_mut(&mut self.clients, &train_ids, |i, client| {
                 let creg = &client_obs[i];
                 fexiot_obs::with_registry(creg, || client.local_train_traced(&local_cfg, creg))
-            })
-        };
-        // Gather in client order (train_ids is sorted ascending): losses sum
-        // in the same sequence as the sequential loop (bit-identical mean),
-        // and each child trace is merged under its `client[i]` span before
-        // the next one.
+            });
+        // Gather in client order: losses sum in the same sequence as a
+        // sequential loop (bit-identical mean), and each child trace is
+        // merged under its `client[i]` span before the next one.
         let mut total_loss = 0.0;
-        let trained = train_ids.len();
         for (&i, loss) in train_ids.iter().zip(losses) {
             let _s = obs.span(format!("client[{i}]"));
-            let creg = &self.client_obs[i];
             total_loss += loss;
-            self.cost_acc[i].trained = true;
-            obs.absorb(&creg.snapshot());
-            creg.reset();
+            round.fates[i].trained = true;
+            obs.absorb(&self.client_obs[i].snapshot());
+            self.client_obs[i].reset();
         }
-        // Aggregator straggle is a cohort-wide wait: every trained client
-        // routed through a late aggregator carries its delay.
-        for &c in &train_ids {
-            self.cost_acc[c].agg_ticks = ctx.agg_delay[c] as u64;
+        if !train_ids.is_empty() {
+            round.mean_loss = total_loss / train_ids.len() as f64;
         }
-        let mean_loss = if trained == 0 {
-            0.0
-        } else {
-            total_loss / trained as f64
-        };
-        obs.gauge_set("fed.sim.mean_loss", mean_loss);
-        obs.hist_record("fed.round.loss", fexiot_obs::buckets::LOSS, mean_loss);
-
-        // §VI extensions: privatize what the server will observe, then score
-        // client trust from the (privatized) update histories. Only clients
-        // that trained this round have a fresh update to privatize.
+        // §VI extensions: privatize what the server will observe. Only
+        // clients that trained this round have a fresh update to privatize.
         if let Some(dp) = self.config.dp {
             for &i in &train_ids {
                 self.clients[i].privatize_last_update(&dp, &mut self.rng);
@@ -668,81 +746,184 @@ impl FedSim {
                 acc.record_release();
             }
         }
+    }
 
-        // Server-side realization of the round: who delivered what.
-        let state = {
-            let _s = obs.span("fed.sim.receive");
-            self.receive_updates(round_faults, &ctx)
-        };
+    /// Phase 3: the server's view of the round — which updates arrived,
+    /// which were corrupted in flight, which survive validation and the
+    /// round deadline, and at what staleness weight. Prices the uploads that
+    /// never make it into aggregation (lost or quarantined). Only the cohort
+    /// with a live aggregator route can contribute at all.
+    fn receive(&mut self, round: &mut Round) {
+        // LocalOnly has no server: nobody uploads, so nothing can be lost,
+        // corrupted or quarantined. Participants are whoever trained.
+        if matches!(self.config.strategy, Strategy::LocalOnly) {
+            for fate in &mut round.fates {
+                fate.contributes = fate.trained;
+            }
+            return;
+        }
+        let plan = self.injector.plan().clone();
+        for c in 0..round.fates.len() {
+            let fate = &mut round.fates[c];
+            fate.contributes = fate.route.is_some();
+            if !fate.contributes {
+                continue;
+            }
+            // 1. Staleness-bounded participation: on-time clients are full
+            //    weight, stragglers within the bound are decayed, later ones
+            //    contribute nothing this round. The server waits a straggler
+            //    out up to the staleness bound either way.
+            let wait = match round.faults.participation[c] {
+                Participation::Active => 0,
+                Participation::Straggler { delay } => {
+                    let wait = straggler_wait(delay, plan.staleness_bound);
+                    fate.contributes = delay <= plan.staleness_bound;
+                    fate.straggler = Some((wait, fate.contributes));
+                    if fate.contributes {
+                        fate.stale_weight = plan.staleness_decay.powi(delay as i32);
+                    }
+                    wait
+                }
+                _ => {
+                    fate.contributes = false;
+                    0
+                }
+            };
+            if !fate.contributes {
+                continue;
+            }
+            // 2. Upload delivery with bounded retry. A lost upload still
+            //    burned bandwidth on every attempt; price it at full-model
+            //    cost (an upper bound for the layer-cadence strategies).
+            let Some(attempts) = round.faults.up_attempts[c] else {
+                let attempts = 1 + plan.max_retries;
+                let bytes = param_bytes(self.clients[c].encoder.params());
+                self.comm.record_upload_attempts(bytes, attempts);
+                fate.charge(attempts);
+                fate.lost_messages += 1;
+                fate.lost_upload = true;
+                fate.contributes = false;
+                continue;
+            };
+            fate.delivered = true;
+            // 2b. Round deadline: a delivered update whose report path blew
+            //     the deadline is excluded. Like a too-stale update, the
+            //     server simply stops listening, so no extra traffic moves.
+            let report_ticks = wait
+                .saturating_add(backoff_ticks_for(attempts))
+                .saturating_add(fate.agg_delay);
+            if self.config.deadline_ticks.is_some_and(|d| report_ticks > d) {
+                fate.deadline_miss = Some(report_ticks);
+                fate.contributes = false;
+            }
+        }
 
-        let contributing: Vec<usize> = (0..n).filter(|&c| state.contributors[c]).collect();
+        // 3. In-flight corruption + validation. NaN/Inf is always
+        //    quarantined; finite-but-huge updates are caught by the norm
+        //    guard against a robust reference norm — before any of it can
+        //    reach `param_weighted_average` or FoolsGold.
+        if plan.corrupt <= 0.0 {
+            return;
+        }
+        let n = round.fates.len();
+        for c in 0..n {
+            if round.fates[c].contributes && round.faults.corrupt[c] {
+                round.fates[c].observed = Some(
+                    self.injector
+                        .corrupt_params(self.clients[c].encoder.params()),
+                );
+            }
+        }
+        let contributes = |c: usize| round.fates[c].contributes;
+        let norm = |c: usize| param_norm(round.observed(&self.clients, c));
+        let mut quarantine: Vec<bool> = (0..n)
+            .map(|c| contributes(c) && !param_is_finite(round.observed(&self.clients, c)))
+            .collect();
+        let mut norms: Vec<f64> = (0..n)
+            .filter(|&c| contributes(c) && !quarantine[c])
+            .map(norm)
+            .collect();
+        norms.sort_by(|a, b| a.total_cmp(b));
+        // Lower quartile, not median: client models all descend from the
+        // same template so clean norms are tightly grouped, and the guard
+        // then survives rounds where corrupted uploads are the majority
+        // (breakdown point 75% instead of 50%).
+        if let Some(&reference) = norms.get(norms.len() / 4).filter(|&&r| r > 0.0) {
+            for (c, q) in quarantine.iter_mut().enumerate() {
+                if contributes(c) && !*q && norm(c) > plan.norm_guard * reference {
+                    *q = true;
+                }
+            }
+        }
+        for c in (0..n).filter(|&c| quarantine[c]) {
+            // The garbage bytes were delivered — price them.
+            let bytes = param_bytes(self.clients[c].encoder.params());
+            self.price_upload(round, c, bytes);
+            let fate = &mut round.fates[c];
+            fate.quarantined = true;
+            fate.contributes = false;
+            fate.observed = None;
+        }
+    }
 
-        // Quorum gate: the round commits only when enough of the cohort's
-        // sample-count weight actually reported. An aborted round is a
-        // recorded no-op — contributor uploads (and aggregator forwards) are
-        // priced because the bytes moved, but nothing is scored, aggregated,
-        // or installed, so garbage from a structurally broken round can
-        // never enter the models.
+    /// Phase 4: the quorum gate, then aggregation over the contributors and
+    /// the aggregator trunk's traffic. The round commits only when enough of
+    /// the cohort's sample-count weight reported; an aborted round is a
+    /// recorded no-op — contributor uploads (and aggregator forwards) are
+    /// priced because the bytes moved, but nothing is scored, aggregated or
+    /// installed, so garbage from a structurally broken round can never
+    /// enter the models.
+    fn commit(&mut self, round: &mut Round, obs: &Arc<Registry>) {
+        let contributing: Vec<usize> = (0..round.fates.len())
+            .filter(|&c| round.fates[c].contributes)
+            .collect();
         let quorum = self.config.quorum.clamp(0.0, 1.0);
-        let quorum_met = if quorum <= 0.0 || matches!(self.config.strategy, Strategy::LocalOnly) {
-            true
-        } else {
+        let ungated = quorum <= 0.0 || matches!(self.config.strategy, Strategy::LocalOnly);
+        if !ungated {
             let weight = |ids: &[usize]| -> f64 {
                 ids.iter()
                     .map(|&c| self.clients[c].sample_count() as f64)
                     .sum()
             };
+            let cohort: Vec<usize> = (0..round.fates.len())
+                .filter(|&c| round.fates[c].sampled)
+                .collect();
             let cohort_weight = weight(&cohort);
-            if cohort_weight <= 0.0 {
-                true
-            } else {
-                // Reported-weight fraction minus the gate: positive =
-                // headroom, negative = aborted. Deterministic (sample
-                // counts only), so the watch view and time-series can
-                // carry it.
+            if cohort_weight > 0.0 {
                 let frac = weight(&contributing) / cohort_weight;
-                obs.gauge_set("fed.round.quorum_margin", frac - quorum);
-                frac >= quorum
+                round.quorum_margin = Some(frac - quorum);
+                round.quorum_met = frac >= quorum;
             }
-        };
+        }
 
-        if quorum_met {
+        if round.quorum_met {
             if self.config.sybil_defense {
-                self.score_trust();
+                self.score_trust(round);
             }
             let _s = obs.span("fed.sim.aggregate");
             match self.config.strategy.clone() {
                 Strategy::LocalOnly => {}
-                Strategy::FedAvg => {
-                    self.aggregate_full(std::slice::from_ref(&contributing), &state)
-                }
+                Strategy::FedAvg => self.aggregate_full(std::slice::from_ref(&contributing), round),
                 Strategy::Fmtl { eps1, eps2 } => {
                     self.refine_clusters(eps1, eps2, false);
-                    let clusters = self.surviving_clusters(&state);
-                    self.aggregate_full(&clusters, &state);
+                    let clusters = self.surviving_clusters(round);
+                    self.aggregate_full(&clusters, round);
                 }
                 Strategy::GcflPlus { eps1, eps2 } => {
                     self.refine_clusters(eps1, eps2, true);
-                    let clusters = self.surviving_clusters(&state);
-                    self.aggregate_full(&clusters, &state);
+                    let clusters = self.surviving_clusters(round);
+                    self.aggregate_full(&clusters, round);
                 }
                 Strategy::FexIot { eps1, eps2 } => {
-                    self.recursive_layerwise(0, &contributing, eps1, eps2, &state);
+                    self.recursive_layerwise(0, &contributing, eps1, eps2, round);
                 }
             }
         } else {
-            obs.counter_add("fed.agg.quorum_aborts", 1);
-            if let Some(cb) = self.causal.as_deref_mut() {
-                cb.quorum_abort(
-                    self.round,
-                    cohort.len().saturating_sub(contributing.len()) as u64,
-                );
-            }
             // The contributors' uploads were already in flight when the
             // server gave up on the round; price them at full-model cost.
             for &c in &contributing {
                 let bytes = param_bytes(self.clients[c].encoder.params());
-                self.price_upload(c, bytes, &state);
+                self.price_upload(round, c, bytes);
             }
         }
 
@@ -752,74 +933,50 @@ impl FedSim {
         // aggregation is the identity on the math — only the traffic shape
         // changes). Committed rounds broadcast the aggregate back down;
         // aborted rounds have nothing to broadcast.
-        if hierarchical && !contributing.is_empty() {
+        if self.hierarchical() && !contributing.is_empty() {
             let model_bytes = param_bytes(self.clients[contributing[0]].encoder.params());
-            let mut active_aggs: Vec<usize> =
-                contributing.iter().filter_map(|&c| ctx.route[c]).collect();
-            active_aggs.sort_unstable();
-            active_aggs.dedup();
-            for _ in &active_aggs {
+            let mut active: Vec<usize> = contributing
+                .iter()
+                .filter_map(|&c| round.fates[c].route)
+                .collect();
+            active.sort_unstable();
+            active.dedup();
+            for _ in &active {
                 self.comm.record_agg_forward(model_bytes);
-            }
-            if quorum_met {
-                for _ in &active_aggs {
+                if round.quorum_met {
                     self.comm.record_agg_broadcast(model_bytes);
                 }
             }
         }
+    }
 
-        for (c, &contributed) in state.contributors.iter().enumerate() {
-            self.cost_acc[c].contributed = contributed;
-        }
-
-        // Retries are counted by `CommStats` as messages move; fold this
-        // round's delta into the registry so the report below — and any
-        // exported obs run report — read from one source. The same fold
-        // surfaces the round's traffic as deterministic `fed.comm.*`
-        // counters (whole-run totals) and per-round gauges.
-        let comm_delta = self.comm.delta_since(&comm_before);
-        self.obs.counter_add(
-            "fed.sim.retried_messages",
-            comm_delta.retried_messages as u64,
-        );
-        self.obs
-            .counter_add("fed.comm.uploaded_bytes", comm_delta.uploaded_bytes as u64);
-        self.obs.counter_add(
-            "fed.comm.downloaded_bytes",
-            comm_delta.downloaded_bytes as u64,
-        );
-        self.obs.counter_add(
-            "fed.comm.upload_messages",
-            comm_delta.upload_messages as u64,
-        );
-        self.obs.counter_add(
-            "fed.comm.download_messages",
-            comm_delta.download_messages as u64,
-        );
-        self.obs.gauge_set(
-            "fed.comm.round_bytes",
-            (comm_delta.uploaded_bytes + comm_delta.downloaded_bytes) as f64,
-        );
-        self.obs.gauge_set(
-            "fed.comm.round_messages",
-            (comm_delta.upload_messages + comm_delta.download_messages) as f64,
-        );
-        if hierarchical {
-            self.obs.counter_add(
-                "fed.agg.forward_messages",
-                comm_delta.agg_forward_messages as u64,
-            );
-            self.obs
-                .counter_add("fed.agg.forward_bytes", comm_delta.agg_forward_bytes as u64);
-            self.obs.counter_add(
-                "fed.agg.broadcast_messages",
-                comm_delta.agg_broadcast_messages as u64,
-            );
-            self.obs.counter_add(
-                "fed.agg.broadcast_bytes",
-                comm_delta.agg_broadcast_bytes as u64,
-            );
-        }
+    /// Phase 5: folds the round's record into every report of it — the
+    /// telemetry, the `fed.*` counters and gauges, the `fed.round.*` series
+    /// and SLO verdicts, the critical-path entry and the causal trace. All
+    /// of it is a deterministic function of the seeded draws.
+    fn report(&mut self, round: Round) -> RoundReport {
+        let fates = &round.fates;
+        let count = |fact: fn(&Fate) -> bool| fates.iter().filter(|f| fact(f)).count();
+        let total = |field: fn(&Fate) -> usize| fates.iter().map(field).sum::<usize>();
+        let (sampled, participants) = (count(|f| f.sampled), count(|f| f.contributes));
+        let quarantined = count(|f| f.quarantined);
+        let mut t = RoundTelemetry {
+            clients: fates.len(),
+            sampled,
+            participants,
+            dropped: sampled - participants - quarantined,
+            quarantined,
+            stale_accepted: count(|f| matches!(f.straggler, Some((_, true)))),
+            retried_messages: total(|f| f.retries),
+            lost_messages: total(|f| f.lost_messages),
+            backoff_ticks: total(|f| f.backoff_ticks),
+            deadline_missed: count(|f| f.deadline_miss.is_some()),
+            aggregators: self.config.topology.aggregators.max(1),
+            agg_down: round.aggs.down_count(),
+            reassigned: count(|f| f.rerouted),
+            quorum_aborted: !round.quorum_met,
+            slo_failures: 0,
+        };
         // Hard invariant (release builds too): a pricing bug fails closed as
         // a surfaced error instead of silently corrupting the Fig. 7
         // accounting. Debug builds still abort loudly.
@@ -828,309 +985,105 @@ impl FedSim {
             self.obs.counter_add("fed.sim.comm_invariant_violations", 1);
             debug_assert!(false, "comm stats invariant violated: {e}");
         }
+        // The round's traffic; the trunk's rows exist only where there is
+        // an aggregator tier.
+        let d = self.comm.delta_since(&round.comm_before);
+        let traffic = [
+            ("fed.comm.uploaded_bytes", d.uploaded_bytes),
+            ("fed.comm.downloaded_bytes", d.downloaded_bytes),
+            ("fed.comm.upload_messages", d.upload_messages),
+            ("fed.comm.download_messages", d.download_messages),
+            ("fed.agg.forward_messages", d.agg_forward_messages),
+            ("fed.agg.forward_bytes", d.agg_forward_bytes),
+            ("fed.agg.broadcast_messages", d.agg_broadcast_messages),
+            ("fed.agg.broadcast_bytes", d.agg_broadcast_bytes),
+        ];
+        let rows = if self.hierarchical() { 8 } else { 4 };
+        let counters = ROUND_COUNTS.iter().map(|[c, _]| *c).zip(t.counts());
+        for (name, v) in counters.chain(traffic.into_iter().take(rows)) {
+            self.obs.counter_add(name, v as u64);
+        }
+        let gauges = [
+            round.mean_loss,
+            (d.uploaded_bytes + d.downloaded_bytes) as f64,
+            (d.upload_messages + d.download_messages) as f64,
+        ];
+        for ([name, _], v) in ROUND_GAUGES.iter().zip(gauges) {
+            self.obs.gauge_set(name, v);
+        }
+        let loss = round.mean_loss;
+        self.obs
+            .hist_record("fed.round.loss", fexiot_obs::buckets::LOSS, loss);
+        if let Some(margin) = round.quorum_margin {
+            self.obs.gauge_set("fed.round.quorum_margin", margin);
+        }
+        if let Some(trace) = self.causal.as_deref_mut() {
+            trace.record(&round, &self.config.topology, &self.injector);
+        }
+        // Aggregator straggle is a cohort-wide wait: every trained client
+        // routed through a late aggregator carries its delay.
+        let ticks = fates.iter().enumerate().map(|(client, f)| ClientTicks {
+            client,
+            straggler: f.straggler.map_or(0, |(wait, _)| wait) as u64,
+            backoff: f.backoff_ticks as u64,
+            agg: if f.trained { f.agg_delay as u64 } else { 0 },
+            retries: f.retries as u64,
+        });
+        self.path.push(slowest_client(round.index, ticks));
 
-        // The report's telemetry is read back from the registry as this
-        // round's counter deltas.
-        let delta = |i: usize| (self.obs.counter_value(ROUND_COUNTERS[i]) - base[i]) as usize;
-        let participants = delta(0);
-        let quarantined = delta(1);
-        let sampled = cohort.len();
-        let mut report_faults = RoundTelemetry {
-            clients: n,
-            sampled,
-            participants,
-            dropped: sampled - participants - quarantined,
-            quarantined,
-            stale_accepted: delta(2),
-            retried_messages: delta(3),
-            lost_messages: delta(4),
-            backoff_ticks: delta(5),
-            deadline_missed: (self.obs.counter_value("fed.agg.deadline_missed") - deadline_base)
-                as usize,
-            aggregators: topo.aggregators.max(1),
-            agg_down,
-            reassigned,
-            quorum_aborted: !quorum_met,
-            slo_failures: 0,
-        };
-        // Fleet-health hook: push this round's telemetry as direct samples
-        // (every value above is a deterministic function of the seed), let
-        // the store evaluate its snapshot-driven specs, then run the SLO
-        // rules over the updated series. Keyed by the 0-based round index so
-        // series round numbers match `round[N]` marks and span names.
+        // Fleet-health hook: push this round's samples, let the store
+        // evaluate its snapshot-driven specs, then run the SLO rules over
+        // the updated series. Keyed by the 0-based round index so series
+        // round numbers match `round[N]` marks and span names.
         if let Some(tel) = self.telemetry.as_deref_mut() {
-            let r = self.round as u64;
-            let f = &report_faults;
-            for (name, v) in [
-                ("fed.round.clients", f.clients as f64),
-                ("fed.round.sampled", f.sampled as f64),
-                ("fed.round.participants", f.participants as f64),
-                ("fed.round.dropped", f.dropped as f64),
-                ("fed.round.quarantined", f.quarantined as f64),
-                ("fed.round.stale_accepted", f.stale_accepted as f64),
-                ("fed.round.retried_messages", f.retried_messages as f64),
-                ("fed.round.lost_messages", f.lost_messages as f64),
-                ("fed.round.backoff_ticks", f.backoff_ticks as f64),
-                ("fed.round.deadline_missed", f.deadline_missed as f64),
-                ("fed.round.agg_down", f.agg_down as f64),
-                ("fed.round.reassigned", f.reassigned as f64),
-                ("fed.round.quorum_aborted", f.quorum_aborted as u8 as f64),
-                ("fed.round.mean_loss", mean_loss),
-                (
-                    "fed.round.comm_bytes",
-                    (comm_delta.uploaded_bytes + comm_delta.downloaded_bytes) as f64,
-                ),
-                (
-                    "fed.round.comm_messages",
-                    (comm_delta.upload_messages + comm_delta.download_messages) as f64,
-                ),
-            ] {
-                tel.push_sample(r, name, v);
+            let r = round.index as u64;
+            tel.push_sample(r, "fed.round.clients", t.clients as f64);
+            for ([_, series], v) in ROUND_COUNTS.iter().zip(t.counts()) {
+                tel.push_sample(r, series, v as f64);
             }
-            report_faults.slo_failures = tel.observe_round(r, &self.obs.metrics_snapshot());
+            for ([_, series], v) in ROUND_GAUGES.iter().zip(gauges) {
+                tel.push_sample(r, series, v);
+            }
+            t.slo_failures = tel.observe_round(r, &self.obs.metrics_snapshot());
             // Watch surface: marks carry the per-round verdict count — and,
             // with causal tracing on, the dominant root cause — so
             // `obs-export --watch` can show SLO state straight off the
-            // stream. Deterministic: counts and causes derive from the
-            // seeded draws only.
-            self.obs
-                .mark(&format!("slo_failing[{}]", report_faults.slo_failures));
+            // stream.
+            self.obs.mark(&format!("slo_failing[{}]", t.slo_failures));
             self.last_root_cause = None;
-            if report_faults.slo_failures > 0 {
-                if let (Some(cb), Some(engine)) = (self.causal.as_deref(), tel.slo.as_ref()) {
-                    let ranked = fexiot_obs::root_cause(cb.graph(), engine);
-                    if let Some(top) = ranked.first().and_then(|rc| rc.causes.first()) {
-                        self.last_root_cause = Some(top.cause.clone());
-                        self.obs.mark(&format!("slo_top_cause[{}]", top.cause));
-                    }
+            if let (true, Some(trace), Some(engine)) =
+                (t.slo_failures > 0, self.causal.as_deref(), tel.slo.as_ref())
+            {
+                let ranked = fexiot_obs::root_cause(trace.builder.graph(), engine);
+                if let Some(top) = ranked.first().and_then(|rc| rc.causes.first()) {
+                    self.last_root_cause = Some(top.cause.clone());
+                    self.obs.mark(&format!("slo_top_cause[{}]", top.cause));
                 }
             }
         }
-        self.round_costs.push(RoundCost {
-            round: self.round,
-            costs: std::mem::take(&mut self.cost_acc),
-        });
         self.round += 1;
         RoundReport {
             round: self.round,
-            mean_loss,
+            mean_loss: round.mean_loss,
             cumulative_comm: self.comm,
-            faults: report_faults,
+            faults: t,
             comm_error,
         }
-    }
-
-    /// Turns the round's fault realization into the server's view: which
-    /// updates arrived, which were corrupted in flight, which survive
-    /// validation and the round deadline, and at what staleness weight. Also
-    /// prices the traffic of uploads that never made it into aggregation
-    /// (lost or quarantined). Only this round's cohort — restricted to
-    /// clients with a live aggregator route — can contribute at all.
-    fn receive_updates(&mut self, round_faults: RoundFaults, ctx: &RoundCtx) -> RoundState {
-        let n = self.clients.len();
-        let mut state = RoundState::clean(n);
-        state.faults = round_faults;
-        // LocalOnly has no server: nobody uploads, so nothing can be lost,
-        // corrupted, or quarantined. Participants are whoever trained
-        // (aggregator routing does not apply — there is nowhere to route).
-        if matches!(self.config.strategy, Strategy::LocalOnly) {
-            for c in 0..n {
-                state.contributors[c] = ctx.sampled[c] && state.faults.participation[c].trains();
-            }
-            let participants = state.contributors.iter().filter(|&&x| x).count();
-            self.obs
-                .counter_add("fed.sim.participants", participants as u64);
-            return state;
-        }
-        let plan = self.injector.plan().clone();
-        // Unsampled clients and cohorts stranded behind a dead aggregator
-        // are out of the round before any update can move.
-        for c in 0..n {
-            state.contributors[c] = ctx.sampled[c] && ctx.route[c].is_some();
-        }
-
-        // 1. Staleness-bounded participation: on-time clients are full
-        //    weight, stragglers within the bound are decayed, later ones
-        //    contribute nothing this round. The server waits a straggler out
-        //    up to the staleness bound either way — that wait is the round's
-        //    dominant simulated-tick cost for critical-path attribution.
-        for c in 0..n {
-            if !state.contributors[c] {
-                continue;
-            }
-            match state.faults.participation[c] {
-                Participation::Active => {}
-                Participation::Straggler { delay } => {
-                    let wait = straggler_wait(delay, plan.staleness_bound) as u64;
-                    self.cost_acc[c].straggler_ticks = wait;
-                    let waited = self
-                        .causal
-                        .as_deref_mut()
-                        .map(|cb| cb.client_straggler(self.round, c, wait));
-                    if delay <= plan.staleness_bound {
-                        state.stale_weight[c] = plan.staleness_decay.powi(delay as i32);
-                        self.obs.counter_add("fed.sim.stale_accepted", 1);
-                        if let (Some(cb), Some(after)) = (self.causal.as_deref_mut(), waited) {
-                            cb.stale_accept(self.round, c, after);
-                        }
-                    } else {
-                        state.contributors[c] = false;
-                        if let (Some(cb), Some(after)) = (self.causal.as_deref_mut(), waited) {
-                            cb.stale_reject(self.round, c, after);
-                        }
-                    }
-                }
-                _ => state.contributors[c] = false,
-            }
-        }
-
-        // 2. Upload delivery with bounded retry. A lost upload still burned
-        //    bandwidth on every attempt; price it at full-model cost (an
-        //    upper bound for the layer-cadence strategies) and drop the
-        //    client from the round.
-        for c in 0..n {
-            if !state.contributors[c] {
-                continue;
-            }
-            if state.faults.up_attempts[c].is_none() {
-                let bytes = param_bytes(self.clients[c].encoder.params());
-                let attempts = 1 + plan.max_retries;
-                self.comm.record_upload_attempts(bytes, attempts);
-                self.charge_backoff(c, attempts);
-                self.obs.counter_add("fed.sim.lost_messages", 1);
-                self.cost_acc[c].lost_upload = true;
-                state.contributors[c] = false;
-                if let Some(cb) = self.causal.as_deref_mut() {
-                    cb.lost_upload(self.round, c, backoff_ticks_for(attempts) as u64);
-                }
-            }
-        }
-
-        // Causal: uploads that landed only after retransmission are their
-        // own fault events, costed at the backoff ticks they added.
-        if self.causal.is_some() {
-            for c in 0..n {
-                if state.contributors[c] && state.up_attempts(c) > 1 {
-                    let ticks = backoff_ticks_for(state.up_attempts(c)) as u64;
-                    if let Some(cb) = self.causal.as_deref_mut() {
-                        cb.retry(self.round, c, ticks);
-                    }
-                }
-            }
-        }
-
-        // 2b. Round deadline: a delivered update whose report path —
-        //     straggler wait + upload backoff + aggregator-tier delay — blew
-        //     the deadline is excluded from aggregation. The wait and
-        //     backoff ticks were already priced/attributed above; like a
-        //     too-stale update, the server simply stops listening, so no
-        //     extra traffic is charged.
-        if let Some(deadline) = ctx.deadline {
-            for c in 0..n {
-                if !state.contributors[c] {
-                    continue;
-                }
-                let wait = match state.faults.participation[c] {
-                    Participation::Straggler { delay } => {
-                        straggler_wait(delay, plan.staleness_bound)
-                    }
-                    _ => 0,
-                };
-                let report_ticks = wait
-                    .saturating_add(backoff_ticks_for(state.up_attempts(c)))
-                    .saturating_add(ctx.agg_delay[c]);
-                if report_ticks > deadline {
-                    state.contributors[c] = false;
-                    self.obs.counter_add("fed.agg.deadline_missed", 1);
-                    if let Some(cb) = self.causal.as_deref_mut() {
-                        cb.deadline_miss(self.round, c, report_ticks as u64);
-                    }
-                }
-            }
-        }
-
-        // 3. In-flight corruption + validation. NaN/Inf is always
-        //    quarantined; finite-but-huge updates are caught by the norm
-        //    guard against a robust reference norm — before any of it can
-        //    reach `param_weighted_average` or FoolsGold.
-        if self.injector.plan().corrupt > 0.0 {
-            for c in 0..n {
-                if state.contributors[c] && state.faults.corrupt[c] {
-                    state.observed[c] = Some(
-                        self.injector
-                            .corrupt_params(self.clients[c].encoder.params()),
-                    );
-                }
-            }
-            let mut quarantine = vec![false; n];
-            for (c, q) in quarantine.iter_mut().enumerate() {
-                if state.contributors[c]
-                    && !param_is_finite(state.observed_params(&self.clients, c))
-                {
-                    *q = true;
-                }
-            }
-            let mut norms: Vec<f64> = (0..n)
-                .filter(|&c| state.contributors[c] && !quarantine[c])
-                .map(|c| param_norm(state.observed_params(&self.clients, c)))
-                .collect();
-            norms.sort_by(|a, b| a.total_cmp(b));
-            if !norms.is_empty() {
-                // Lower quartile, not median: client models all descend from
-                // the same template so clean norms are tightly grouped, and
-                // the guard then survives rounds where corrupted uploads are
-                // the majority (breakdown point 75% instead of 50%).
-                let reference = norms[norms.len() / 4];
-                if reference > 0.0 {
-                    for (c, q) in quarantine.iter_mut().enumerate() {
-                        if state.contributors[c]
-                            && !*q
-                            && param_norm(state.observed_params(&self.clients, c))
-                                > plan.norm_guard * reference
-                        {
-                            *q = true;
-                        }
-                    }
-                }
-            }
-            for (c, &quarantined) in quarantine.iter().enumerate() {
-                if quarantined {
-                    // The garbage bytes were delivered — price them.
-                    let bytes = param_bytes(self.clients[c].encoder.params());
-                    let attempts = state.up_attempts(c);
-                    self.comm.record_upload_attempts(bytes, attempts);
-                    self.charge_backoff(c, attempts);
-                    self.cost_acc[c].quarantined = true;
-                    state.contributors[c] = false;
-                    state.observed[c] = None;
-                    self.obs.counter_add("fed.sim.quarantined", 1);
-                    if let Some(cb) = self.causal.as_deref_mut() {
-                        cb.quarantine(self.round, c);
-                    }
-                }
-            }
-        }
-
-        let participants = state.contributors.iter().filter(|&&x| x).count();
-        self.obs
-            .counter_add("fed.sim.participants", participants as u64);
-        state
     }
 
     /// FoolsGold trust over cumulative update directions. Quarantined
     /// clients' newest (corrupt) update is excluded so garbage cannot poison
     /// the similarity scores.
-    fn score_trust(&mut self) {
+    fn score_trust(&mut self, round: &Round) {
         // The receive stage flagged exactly the clients whose newest update
         // was quarantined this round (sampling-aware: an unsampled client's
         // stale history entry is never excluded by mistake).
-        let quarantined_now = |c: usize| self.cost_acc[c].quarantined;
         let histories: Vec<Vec<f64>> = self
             .clients
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let keep = if quarantined_now(i) {
+                let keep = if round.fates[i].quarantined {
                     c.update_history.len().saturating_sub(1)
                 } else {
                     c.update_history.len()
@@ -1153,72 +1106,56 @@ impl FedSim {
     }
 
     /// FMTL/GCFL+ clusters restricted to this round's contributors.
-    fn surviving_clusters(&self, state: &RoundState) -> Vec<Vec<usize>> {
+    fn surviving_clusters(&self, round: &Round) -> Vec<Vec<usize>> {
         self.clusters
             .iter()
             .map(|cluster| {
                 cluster
                     .iter()
                     .copied()
-                    .filter(|&c| state.contributors[c])
+                    .filter(|&c| round.fates[c].contributes)
                     .collect()
             })
             .collect()
     }
 
-    /// Books the backoff ticks of one `attempts`-transmission message: into
-    /// the round counter (telemetry) and onto client `c`'s cost ledger
-    /// (critical-path attribution).
-    fn charge_backoff(&mut self, c: usize, attempts: usize) {
-        let ticks = backoff_ticks_for(attempts) as u64;
-        self.obs.counter_add("fed.sim.backoff_ticks", ticks);
-        self.cost_acc[c].backoff_ticks += ticks;
-        self.cost_acc[c].retries += attempts.saturating_sub(1) as u64;
-    }
-
-    /// Prices one upload from contributor `c`, including any retries.
-    fn price_upload(&mut self, c: usize, bytes: usize, state: &RoundState) {
-        let attempts = state.up_attempts(c);
+    /// Prices one upload of client `c`'s delivered update, including any
+    /// retries.
+    fn price_upload(&mut self, round: &mut Round, c: usize, bytes: usize) {
+        let attempts = round.up_attempts(c);
         self.comm.record_upload_attempts(bytes, attempts);
-        self.charge_backoff(c, attempts);
+        round.fates[c].charge(attempts);
     }
 
     /// Prices one download to client `c`; returns false when the message is
     /// lost even after every retry (the client keeps its local model).
-    fn deliver_download(&mut self, c: usize, bytes: usize, state: &RoundState) -> bool {
-        match state.faults.down_attempts[c] {
-            Some(attempts) => {
-                self.comm.record_download_attempts(bytes, attempts);
-                self.charge_backoff(c, attempts);
-                true
-            }
-            None => {
-                let attempts = 1 + self.injector.plan().max_retries;
-                self.comm.record_download_attempts(bytes, attempts);
-                self.charge_backoff(c, attempts);
-                self.obs.counter_add("fed.sim.lost_messages", 1);
-                false
-            }
-        }
+    fn deliver_download(&mut self, round: &mut Round, c: usize, bytes: usize) -> bool {
+        let delivered = round.faults.down_attempts[c];
+        let attempts = delivered.unwrap_or(1 + self.injector.plan().max_retries);
+        self.comm.record_download_attempts(bytes, attempts);
+        let fate = &mut round.fates[c];
+        fate.charge(attempts);
+        fate.lost_messages += usize::from(delivered.is_none());
+        delivered.is_some()
     }
 
     /// Full-model aggregation within each cluster (FedAvg / FMTL / GCFL+).
     /// Every surviving member uploads its whole model; members of clusters
     /// with at least two contributors download the cluster average.
-    fn aggregate_full(&mut self, clusters: &[Vec<usize>], state: &RoundState) {
+    fn aggregate_full(&mut self, clusters: &[Vec<usize>], round: &mut Round) {
         for cluster in clusters {
             for &c in cluster {
                 let bytes = param_bytes(self.clients[c].encoder.params());
-                self.price_upload(c, bytes, state);
+                self.price_upload(round, c, bytes);
             }
             if cluster.len() < 2 {
                 continue; // Aggregating one model is the identity: no download.
             }
             let sets: Vec<&ParamVec> = cluster
                 .iter()
-                .map(|&c| state.observed_params(&self.clients, c))
+                .map(|&c| round.observed(&self.clients, c))
                 .collect();
-            let weights = self.effective_weights(cluster, state);
+            let weights = self.effective_weights(cluster, round);
             let avg = if self.config.secure_aggregation {
                 crate::secure_agg::secure_weighted_average(
                     &sets,
@@ -1230,7 +1167,7 @@ impl FedSim {
             };
             let bytes = param_bytes(&avg);
             for &c in cluster {
-                if self.deliver_download(c, bytes, state) {
+                if self.deliver_download(round, c, bytes) {
                     self.clients[c].install(avg.clone());
                 }
             }
@@ -1330,7 +1267,7 @@ impl FedSim {
         subset: &[usize],
         eps1: f64,
         eps2: f64,
-        state: &RoundState,
+        round: &mut Round,
     ) {
         if layer >= self.layer_spans.len() || subset.len() < 2 {
             return;
@@ -1338,7 +1275,7 @@ impl FedSim {
         if self.config.layer_cadence && !self.round.is_multiple_of(layer + 1) {
             // This layer is off-cadence this round: no upload, no aggregation,
             // no split decision; continue with the same cluster below.
-            self.recursive_layerwise(layer + 1, subset, eps1, eps2, state);
+            self.recursive_layerwise(layer + 1, subset, eps1, eps2, round);
             return;
         }
         let (offset, len) = self.layer_spans[layer];
@@ -1352,7 +1289,7 @@ impl FedSim {
         // Upload layer l.
         for &c in subset {
             let bytes = layer_bytes(&self.clients[c]);
-            self.price_upload(c, bytes, state);
+            self.price_upload(round, c, bytes);
         }
         // Layer-l deltas for the split criteria.
         let layer_deltas: Vec<Vec<f64>> = subset
@@ -1378,7 +1315,7 @@ impl FedSim {
                 .iter()
                 .map(|&c| {
                     let mut flat = Vec::new();
-                    for m in &state.observed_params(&self.clients, c)[offset..offset + len] {
+                    for m in &round.observed(&self.clients, c)[offset..offset + len] {
                         flat.extend_from_slice(m.as_slice());
                     }
                     flat
@@ -1387,28 +1324,28 @@ impl FedSim {
             let (a, b) = binary_cosine_split(&weights_flat, &mut self.rng);
             let sub_a: Vec<usize> = a.into_iter().map(|i| subset[i]).collect();
             let sub_b: Vec<usize> = b.into_iter().map(|i| subset[i]).collect();
-            self.aggregate_layer(layer, &sub_a, state);
-            self.aggregate_layer(layer, &sub_b, state);
-            self.recursive_layerwise(layer + 1, &sub_a, eps1, eps2, state);
-            self.recursive_layerwise(layer + 1, &sub_b, eps1, eps2, state);
+            self.aggregate_layer(layer, &sub_a, round);
+            self.aggregate_layer(layer, &sub_b, round);
+            self.recursive_layerwise(layer + 1, &sub_a, eps1, eps2, round);
+            self.recursive_layerwise(layer + 1, &sub_b, eps1, eps2, round);
         } else {
-            self.aggregate_layer(layer, subset, state);
-            self.recursive_layerwise(layer + 1, subset, eps1, eps2, state);
+            self.aggregate_layer(layer, subset, round);
+            self.recursive_layerwise(layer + 1, subset, eps1, eps2, round);
         }
     }
 
     /// Weighted average of one layer within a cluster, installed to members.
-    fn aggregate_layer(&mut self, layer: usize, subset: &[usize], state: &RoundState) {
+    fn aggregate_layer(&mut self, layer: usize, subset: &[usize], round: &mut Round) {
         if subset.len() < 2 {
             return;
         }
         let (offset, len) = self.layer_spans[layer];
         let sets: Vec<ParamVec> = subset
             .iter()
-            .map(|&c| state.observed_params(&self.clients, c)[offset..offset + len].to_vec())
+            .map(|&c| round.observed(&self.clients, c)[offset..offset + len].to_vec())
             .collect();
         let refs: Vec<&ParamVec> = sets.iter().collect();
-        let weights = self.effective_weights(subset, state);
+        let weights = self.effective_weights(subset, round);
         let avg = if self.config.secure_aggregation {
             crate::secure_agg::secure_weighted_average(
                 &refs,
@@ -1420,7 +1357,7 @@ impl FedSim {
         };
         let bytes: usize = avg.iter().map(Matrix::len).sum::<usize>() * std::mem::size_of::<f64>();
         for &c in subset {
-            if self.deliver_download(c, bytes, state) {
+            if self.deliver_download(round, c, bytes) {
                 self.clients[c].install_layer(offset, &avg);
             }
         }
@@ -1429,10 +1366,10 @@ impl FedSim {
     /// Sample-count weights scaled by Sybil-defense trust, then by staleness
     /// decay. `param_weighted_average` renormalizes over the subset, so
     /// partial participation automatically re-weights the survivors.
-    fn effective_weights(&self, subset: &[usize], state: &RoundState) -> Vec<f64> {
+    fn effective_weights(&self, subset: &[usize], round: &Round) -> Vec<f64> {
         let mut weights = self.aggregation_weights(subset);
         for (w, &c) in weights.iter_mut().zip(subset) {
-            *w *= state.stale_weight[c];
+            *w *= round.fates[c].stale_weight;
         }
         weights
     }
@@ -1460,18 +1397,12 @@ impl FedSim {
         }
     }
 
-    /// Per-round per-client simulated-tick cost attribution recorded so far
-    /// (not checkpointed: a restored simulator starts with an empty ledger
-    /// and accumulates costs for the rounds it actually runs).
-    pub fn round_costs(&self) -> &[RoundCost] {
-        &self.round_costs
-    }
-
     /// The per-round critical path — each round's slowest client chain, with
     /// the simulated ticks attributed to straggler waiting vs retry backoff.
     /// A pure function of the seeded [`FaultPlan`]: same seed, same path.
+    /// Not checkpointed: a restored simulator reports the rounds it ran.
     pub fn critical_path(&self) -> Vec<CriticalPathEntry> {
-        fexiot_obs::critical_path(&self.round_costs)
+        self.path.clone()
     }
 
     /// Current FMTL/GCFL+ cluster assignment (for diagnostics).

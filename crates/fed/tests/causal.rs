@@ -6,7 +6,9 @@
 use fexiot_fed::{Client, Failover, FaultPlan, FedConfig, FedSim, Sampling, Strategy, Topology};
 use fexiot_gnn::{ContrastiveConfig, Encoder, Gin};
 use fexiot_graph::{generate_dataset, DatasetConfig, GraphDataset};
-use fexiot_obs::{CausalGraph, EdgeKind, FleetTelemetry, SloEngine, TimeSeriesStore, Timing};
+use fexiot_obs::{
+    trace_id, CausalGraph, EdgeKind, Entity, FleetTelemetry, SloEngine, TimeSeriesStore, Timing,
+};
 use fexiot_tensor::rng::Rng;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -163,4 +165,87 @@ fn crash_chains_and_root_cause_survive_a_real_run() {
         Some(causes[0].cause.as_str()),
         "round annotation and report ranking disagree"
     );
+}
+
+/// Every follows-from edge of a crash-heavy run links the chain it stands
+/// for, on the right entities and rounds: a client's crash window reads
+/// crash → crash → rejoin, a same-round straggle follows the rejoin, the
+/// straggler's verdict follows the straggle, each aggregator outage links
+/// to its next outage or rejoin, and each reroute follows its home
+/// aggregator's down node. Every fault hangs under its own round.
+#[test]
+fn run_links_crash_rejoin_and_reassign_chains() {
+    fexiot_par::set_threads(1);
+    let seed = 77;
+    let mut sim = faulty_sim(seed);
+    sim.enable_causal_trace("causal-test");
+    sim.run();
+    let g = sim.take_causal_trace().expect("trace enabled");
+    let node = |id: u64| g.node(id).expect("edge endpoints are nodes");
+    let mut seen = BTreeSet::new();
+    for e in g.edges.iter().filter(|e| e.kind == EdgeKind::Follows) {
+        let (from, to) = (node(e.from), node(e.to));
+        let link = format!("{}→{}", from.kind, to.kind);
+        let same_entity = from.entity == to.entity;
+        let (same_round, next_round) = (to.round == from.round, to.round == from.round + 1);
+        let ok = match link.as_str() {
+            "crash→crash" | "crash→rejoin" => same_entity && next_round,
+            "rejoin→straggler" | "straggler→stale_accept" | "straggler→stale_reject" => {
+                same_entity && same_round
+            }
+            "agg_crash→agg_reassign" | "agg_dropout→agg_reassign" => {
+                same_round
+                    && matches!((from.entity, to.entity),
+                        (Entity::Aggregator(a), Entity::Client(c)) if c % 2 == a)
+            }
+            // An outage continues into the next round's outage or rejoin.
+            _ => from.kind.starts_with("agg_") && same_entity && next_round,
+        };
+        assert!(ok, "unexpected follows edge {link}: {from:?} → {to:?}");
+        seen.insert(link);
+    }
+    for link in [
+        "crash→crash",
+        "crash→rejoin",
+        "rejoin→straggler",
+        "straggler→stale_accept",
+        "agg_crash→agg_reassign",
+    ] {
+        assert!(
+            seen.contains(link),
+            "seed {seed} recorded no {link}: {seen:?}"
+        );
+    }
+    // A multi-round crash window reads crash → crash → rejoin.
+    let rejoin = g
+        .nodes
+        .iter()
+        .find(|n| {
+            n.kind == "rejoin"
+                && g.edges.iter().any(|e| {
+                    e.to == n.id
+                        && node(e.from).kind == "crash"
+                        && g.edges
+                            .iter()
+                            .any(|p| p.to == e.from && node(p.from).kind == "crash")
+                })
+        })
+        .expect("a crash → crash → rejoin chain");
+    assert!(rejoin.round >= 2, "rejoin at round {}", rejoin.round);
+
+    // Every fault is a child of its own round's span.
+    for n in g
+        .nodes
+        .iter()
+        .filter(|n| !matches!(n.kind.as_str(), "run" | "round"))
+    {
+        let round = trace_id(seed, n.round, Entity::Round, "round");
+        assert!(
+            g.edges
+                .iter()
+                .any(|e| e.kind == EdgeKind::Child && e.from == round && e.to == n.id),
+            "{n:?} is not a child of round {}",
+            n.round
+        );
+    }
 }

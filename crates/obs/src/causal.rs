@@ -6,7 +6,8 @@
 //! rejoin, straggler waits, lossy-link retries, quarantine, aggregator
 //! crash/reassign, deadline misses, quorum aborts — linked by parent/child
 //! and follows-from edges (crash → rejoin → stale-update decay; aggregator
-//! crash → ring reassign).
+//! crash → ring reassign). The simulator decides which events a round had
+//! and which follow which; [`CausalBuilder`] records them.
 //!
 //! ## Determinism contract
 //!
@@ -21,7 +22,7 @@
 //!
 //! ## Root-cause attribution
 //!
-//! [`root_cause`] generalizes [`crate::critical_path`] from per-round to
+//! [`root_cause`] generalizes [`crate::slowest_client`] from per-round to
 //! whole-run: for each failing SLO rule it walks the rule's trailing window
 //! in the graph and ranks the fault kinds by attributed simulated-tick cost.
 
@@ -310,9 +311,11 @@ impl CausalGraph {
     }
 }
 
-/// Accumulates the causal graph during a run. All methods must be called
-/// from the coordinator thread in round order; the builder never reads the
-/// clock except to stamp `wall_us` (which excluded exports drop).
+/// Accumulates the causal graph during a run: the run span, one span per
+/// round, and the fault events the caller reports under the open round,
+/// linked by child and follows-from edges. All methods must be called from
+/// the coordinator thread in round order; the builder never reads the clock
+/// except to stamp `wall_us` (which excluded exports drop).
 #[derive(Debug)]
 pub struct CausalBuilder {
     graph: CausalGraph,
@@ -320,16 +323,10 @@ pub struct CausalBuilder {
     next_ts: u64,
     round_node: Option<usize>,
     round_start_ts: u64,
-    /// Open crash chain per client: the newest `crash` node id.
-    client_down: Vec<Option<u64>>,
-    /// Rejoin emitted this round, for the crash → rejoin → stale-decay chain.
-    client_rejoin: Vec<Option<(u64, u64)>>,
-    /// Open down chain per aggregator (sized lazily like the crash ledger).
-    agg_down: Vec<Option<u64>>,
 }
 
 impl CausalBuilder {
-    pub fn new(run: &str, seed: u64, n_clients: usize) -> Self {
+    pub fn new(run: &str, seed: u64) -> Self {
         let mut builder = Self {
             graph: CausalGraph {
                 run: run.to_string(),
@@ -341,9 +338,6 @@ impl CausalBuilder {
             next_ts: 0,
             round_node: None,
             round_start_ts: 0,
-            client_down: vec![None; n_clients],
-            client_rejoin: vec![None; n_clients],
-            agg_down: Vec::new(),
         };
         builder.push(0, Entity::Run, "run", 0, 0);
         builder
@@ -369,16 +363,23 @@ impl CausalBuilder {
         id
     }
 
-    /// A fault event under the current round: unit duration floor so every
-    /// event is visible on the trace timeline, parent edge to the round.
-    fn fault(&mut self, round: u64, entity: Entity, kind: &str, ticks: u64) -> u64 {
-        let dur = ticks.max(1);
-        let id = self.push(round, entity, kind, ticks.max(1), dur);
+    /// A fault event under the current round, costed at `ticks` simulated
+    /// ticks with a floor of 1, so every event counts toward attribution and
+    /// is visible on the timeline. Returns its id, for [`Self::follows`].
+    pub fn fault(&mut self, round: usize, entity: Entity, kind: &str, ticks: u64) -> u64 {
+        let ticks = ticks.max(1);
+        let id = self.push(round as u64, entity, kind, ticks, ticks);
         if let Some(r) = self.round_node {
             let parent = self.graph.nodes[r].id;
             self.edge(parent, id, EdgeKind::Child);
         }
         id
+    }
+
+    /// Links event `to` as caused by event `from` (crash → rejoin,
+    /// aggregator down → reassign).
+    pub fn follows(&mut self, from: u64, to: u64) {
+        self.edge(from, to, EdgeKind::Follows);
     }
 
     fn edge(&mut self, from: u64, to: u64, kind: EdgeKind) {
@@ -388,9 +389,6 @@ impl CausalBuilder {
     /// Closes the previous round span (if any) and opens `round`'s.
     pub fn begin_round(&mut self, round: usize) {
         self.close_round();
-        for r in &mut self.client_rejoin {
-            *r = None;
-        }
         self.round_start_ts = self.next_ts;
         let id = self.push(round as u64, Entity::Round, "round", 0, 0);
         self.round_node = Some(self.graph.nodes.len() - 1);
@@ -404,128 +402,6 @@ impl CausalBuilder {
             self.next_ts = self.next_ts.max(self.round_start_ts + 1);
             self.graph.nodes[r].dur = self.next_ts - self.round_start_ts;
         }
-    }
-
-    pub fn client_crash(&mut self, round: usize, c: usize) {
-        let id = self.fault(round as u64, Entity::Client(c), "crash", 1);
-        if let Some(prev) = self.client_down[c] {
-            self.edge(prev, id, EdgeKind::Follows);
-        }
-        self.client_down[c] = Some(id);
-    }
-
-    /// Call for every client that is *not* down this round; emits a `rejoin`
-    /// node (follows-from the crash chain) when a crash window just closed.
-    pub fn client_up(&mut self, round: usize, c: usize) {
-        if let Some(prev) = self.client_down[c].take() {
-            let id = self.fault(round as u64, Entity::Client(c), "rejoin", 1);
-            self.edge(prev, id, EdgeKind::Follows);
-            self.client_rejoin[c] = Some((round as u64, id));
-        }
-    }
-
-    pub fn client_dropout(&mut self, round: usize, c: usize) {
-        self.fault(round as u64, Entity::Client(c), "dropout", 1);
-    }
-
-    /// A straggler the server waited out for `wait` ticks. Chains from this
-    /// round's rejoin when the client just came back (crash → rejoin →
-    /// stale-update decay).
-    pub fn client_straggler(&mut self, round: usize, c: usize, wait: u64) -> u64 {
-        let id = self.fault(round as u64, Entity::Client(c), "straggler", wait);
-        if let Some((r, rejoin)) = self.client_rejoin[c] {
-            if r == round as u64 {
-                self.edge(rejoin, id, EdgeKind::Follows);
-            }
-        }
-        id
-    }
-
-    pub fn stale_accept(&mut self, round: usize, c: usize, after: u64) {
-        let id = self.fault(round as u64, Entity::Client(c), "stale_accept", 1);
-        self.edge(after, id, EdgeKind::Follows);
-    }
-
-    pub fn stale_reject(&mut self, round: usize, c: usize, after: u64) {
-        let id = self.fault(round as u64, Entity::Client(c), "stale_reject", 1);
-        self.edge(after, id, EdgeKind::Follows);
-    }
-
-    pub fn retry(&mut self, round: usize, c: usize, backoff_ticks: u64) {
-        self.fault(round as u64, Entity::Client(c), "retry", backoff_ticks);
-    }
-
-    pub fn lost_upload(&mut self, round: usize, c: usize, backoff_ticks: u64) {
-        self.fault(
-            round as u64,
-            Entity::Client(c),
-            "lost_upload",
-            backoff_ticks,
-        );
-    }
-
-    pub fn quarantine(&mut self, round: usize, c: usize) {
-        self.fault(round as u64, Entity::Client(c), "quarantine", 1);
-    }
-
-    pub fn deadline_miss(&mut self, round: usize, c: usize, report_ticks: u64) {
-        self.fault(
-            round as u64,
-            Entity::Client(c),
-            "deadline_miss",
-            report_ticks,
-        );
-    }
-
-    /// An aggregator down inside a crash window. `affected` is the number of
-    /// sampled cohort clients homed at it — the cost the outage put at risk.
-    pub fn agg_crash(&mut self, round: usize, a: usize, affected: u64) -> u64 {
-        self.agg_down_node(round, a, "agg_crash", affected)
-    }
-
-    /// An aggregator down from transient dropout (no open crash window).
-    pub fn agg_dropout(&mut self, round: usize, a: usize, affected: u64) -> u64 {
-        self.agg_down_node(round, a, "agg_dropout", affected)
-    }
-
-    fn agg_down_node(&mut self, round: usize, a: usize, kind: &str, affected: u64) -> u64 {
-        if self.agg_down.len() <= a {
-            self.agg_down.resize(a + 1, None);
-        }
-        let id = self.fault(round as u64, Entity::Aggregator(a), kind, affected.max(1));
-        if let Some(prev) = self.agg_down[a] {
-            self.edge(prev, id, EdgeKind::Follows);
-        }
-        self.agg_down[a] = Some(id);
-        id
-    }
-
-    /// Call for every aggregator that is up this round; emits `agg_rejoin`
-    /// when its down window just closed.
-    pub fn agg_up(&mut self, round: usize, a: usize) {
-        if let Some(prev) = self.agg_down.get_mut(a).and_then(Option::take) {
-            let id = self.fault(round as u64, Entity::Aggregator(a), "agg_rejoin", 1);
-            self.edge(prev, id, EdgeKind::Follows);
-        }
-    }
-
-    pub fn agg_straggler(&mut self, round: usize, a: usize, delay: u64) {
-        self.fault(round as u64, Entity::Aggregator(a), "agg_straggler", delay);
-    }
-
-    /// A cohort client rerouted off its dead home aggregator; follows-from
-    /// that aggregator's down node (agg crash → ring reassign).
-    pub fn agg_reassign(&mut self, round: usize, c: usize, after: Option<u64>) {
-        let id = self.fault(round as u64, Entity::Client(c), "agg_reassign", 1);
-        if let Some(after) = after {
-            self.edge(after, id, EdgeKind::Follows);
-        }
-    }
-
-    /// The round failed its quorum gate; `missing` cohort members never
-    /// reported.
-    pub fn quorum_abort(&mut self, round: usize, missing: u64) {
-        self.fault(round as u64, Entity::Round, "quorum_abort", missing);
     }
 
     /// Closes the open round and the run span, returning the final graph.
@@ -660,7 +536,7 @@ pub struct RuleRootCause {
 
 /// For each failing SLO rule, walks the rule's trailing round window in the
 /// graph and ranks the fault kinds by attributed simulated-tick cost —
-/// [`crate::critical_path`] generalized from per-round slowest-client to
+/// [`crate::slowest_client`] generalized from per-round slowest-client to
 /// whole-run dominant-cause. Ties break by event count, then kind name, so
 /// the ranking is deterministic.
 pub fn root_cause(graph: &CausalGraph, engine: &SloEngine) -> Vec<RuleRootCause> {
@@ -805,23 +681,28 @@ mod tests {
     /// A small graph with one crash→rejoin chain, a straggler decay chain,
     /// and an aggregator crash with a reassign.
     fn sample_graph() -> CausalGraph {
-        let mut b = CausalBuilder::new("unit", 42, 4);
+        let mut b = CausalBuilder::new("unit", 42);
+        let client = Entity::Client;
         b.begin_round(0);
-        b.client_crash(0, 1);
-        b.client_up(0, 0);
-        b.client_dropout(0, 2);
-        let agg = b.agg_crash(0, 1, 2);
-        b.agg_reassign(0, 3, Some(agg));
+        let crash0 = b.fault(0, client(1), "crash", 1);
+        b.fault(0, client(2), "dropout", 1);
+        let agg = b.fault(0, Entity::Aggregator(1), "agg_crash", 2);
+        let reassign = b.fault(0, client(3), "agg_reassign", 1);
+        b.follows(agg, reassign);
         b.begin_round(1);
-        b.client_crash(1, 1);
-        b.client_up(1, 0);
-        b.agg_up(1, 1);
+        let crash1 = b.fault(1, client(1), "crash", 1);
+        b.follows(crash0, crash1);
+        let agg_rejoin = b.fault(1, Entity::Aggregator(1), "agg_rejoin", 1);
+        b.follows(agg, agg_rejoin);
         b.begin_round(2);
-        b.client_up(2, 1);
-        let s = b.client_straggler(2, 1, 3);
-        b.stale_accept(2, 1, s);
-        b.retry(2, 3, 7);
-        b.quorum_abort(2, 2);
+        let rejoin = b.fault(2, client(1), "rejoin", 1);
+        b.follows(crash1, rejoin);
+        let s = b.fault(2, client(1), "straggler", 3);
+        b.follows(rejoin, s);
+        let accept = b.fault(2, client(1), "stale_accept", 1);
+        b.follows(s, accept);
+        b.fault(2, client(3), "retry", 7);
+        b.fault(2, Entity::Round, "quorum_abort", 2);
         b.finish()
     }
 
@@ -835,52 +716,6 @@ mod tests {
         assert_ne!(a, trace_id(42, 3, Entity::Client(8), "crash"));
         assert_ne!(a, trace_id(42, 3, Entity::Aggregator(7), "crash"));
         assert_ne!(a, trace_id(42, 3, Entity::Client(7), "dropout"));
-    }
-
-    #[test]
-    fn builder_links_crash_rejoin_and_reassign_chains() {
-        let g = sample_graph();
-        let kind = |k: &str| g.nodes.iter().filter(|n| n.kind == k).count();
-        assert_eq!(kind("run"), 1);
-        assert_eq!(kind("round"), 3);
-        assert_eq!(kind("crash"), 2);
-        assert_eq!(
-            kind("rejoin"),
-            1,
-            "client 1 rejoins once, client 0 was never down"
-        );
-        assert_eq!(kind("agg_crash"), 1);
-        assert_eq!(kind("agg_rejoin"), 1);
-        // Follows chain: crash(r0) → crash(r1) → rejoin(r2).
-        let crash0 = trace_id(42, 0, Entity::Client(1), "crash");
-        let crash1 = trace_id(42, 1, Entity::Client(1), "crash");
-        let rejoin = trace_id(42, 2, Entity::Client(1), "rejoin");
-        let follows = |from, to| {
-            g.edges
-                .iter()
-                .any(|e| e.kind == EdgeKind::Follows && e.from == from && e.to == to)
-        };
-        assert!(follows(crash0, crash1));
-        assert!(follows(crash1, rejoin));
-        // Rejoin chains into the same-round straggler, straggler into decay.
-        let straggler = trace_id(42, 2, Entity::Client(1), "straggler");
-        assert!(follows(rejoin, straggler));
-        assert!(follows(
-            straggler,
-            trace_id(42, 2, Entity::Client(1), "stale_accept")
-        ));
-        // Aggregator crash chains into the reassign.
-        assert!(follows(
-            trace_id(42, 0, Entity::Aggregator(1), "agg_crash"),
-            trace_id(42, 0, Entity::Client(3), "agg_reassign")
-        ));
-        // Every fault is a child of its round.
-        let round0 = trace_id(42, 0, Entity::Round, "round");
-        let dropout = trace_id(42, 0, Entity::Client(2), "dropout");
-        assert!(g
-            .edges
-            .iter()
-            .any(|e| e.kind == EdgeKind::Child && e.from == round0 && e.to == dropout));
     }
 
     #[test]
@@ -1002,9 +837,9 @@ mod tests {
         let b = sample_graph().to_json(Timing::Exclude).to_string();
         assert_eq!(a, b, "excluded graphs are byte-identical");
         let other = {
-            let mut b = CausalBuilder::new("unit", 43, 4);
+            let mut b = CausalBuilder::new("unit", 43);
             b.begin_round(0);
-            b.client_crash(0, 1);
+            b.fault(0, Entity::Client(1), "crash", 1);
             b.finish()
         };
         let ids = |g: &CausalGraph| g.nodes.iter().map(|n| n.id).collect::<Vec<_>>();

@@ -406,7 +406,7 @@ impl ObsCli {
             (None, _) => None,
             (Some(_), Some(g)) => Some(g),
             (Some(_), None) => {
-                placeholder = crate::causal::CausalBuilder::new(run, 0, 0).finish();
+                placeholder = crate::causal::CausalBuilder::new(run, 0).finish();
                 Some(&placeholder)
             }
         };

@@ -17,10 +17,11 @@
 //! Library instrumentation (the pipeline, GNN trainer, beam search) records
 //! into the **process-global registry**, which is *disabled by default* —
 //! existing runs and golden tests observe zero change until a CLI flag or
-//! test calls [`set_global_enabled`]. The federated simulator additionally
-//! owns a **local** always-enabled registry for its per-round accounting
-//! (so concurrent simulations in one process never share counters) and can
-//! be pointed at the global one with `FedSim::attach_obs`.
+//! test calls [`set_global_enabled`]. The federated simulator writes its
+//! per-round `fed.*` metrics into a **local** enabled registry of its own
+//! (so concurrent simulations in one process never share counters), or into
+//! the global one given to `FedSim::attach_obs`. It never reads them back:
+//! its round reports come from its own per-round record.
 //!
 //! ## Determinism rule
 //!
@@ -74,7 +75,7 @@ pub use report::{
 };
 pub use slo::{SloEngine, SloRule, SloStatus, SloVerdict};
 pub use timeseries::{FleetTelemetry, SampleSpec, TimeSeriesStore};
-pub use trace::{critical_path, ClientRoundCost, CriticalPathEntry, RoundCost};
+pub use trace::{slowest_client, ClientTicks, CriticalPathEntry};
 
 use std::cell::RefCell;
 use std::sync::{Arc, LazyLock};

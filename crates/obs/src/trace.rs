@@ -9,41 +9,24 @@
 
 use crate::json::Json;
 
-/// Simulated-tick cost one client accrued in one round.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClientRoundCost {
+/// Simulated ticks one client accrued in one round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientTicks {
     pub client: usize,
-    /// The client ran local training this round.
-    pub trained: bool,
-    /// The client's update made it into the aggregate.
-    pub contributed: bool,
-    /// The update was quarantined (corruption / norm guard).
-    pub quarantined: bool,
-    /// The upload exhausted retries and was lost.
-    pub lost_upload: bool,
     /// Rounds of straggler delay the server waited out (staleness-bounded).
-    pub straggler_ticks: u64,
+    pub straggler: u64,
     /// Exponential-backoff ticks spent re-sending on lossy links.
-    pub backoff_ticks: u64,
-    /// Ticks the client's update sat at a straggling edge aggregator before
-    /// reaching the server (hierarchical topology only).
-    pub agg_ticks: u64,
+    pub backoff: u64,
+    /// Ticks the client's update sat at a straggling edge aggregator.
+    pub agg: u64,
     /// Retransmissions beyond the first attempt (uploads + downloads).
     pub retries: u64,
 }
 
-impl ClientRoundCost {
-    /// Total simulated ticks attributed to this client this round.
-    pub fn total_ticks(&self) -> u64 {
-        self.straggler_ticks + self.backoff_ticks + self.agg_ticks
+impl ClientTicks {
+    fn total(&self) -> u64 {
+        self.straggler + self.backoff + self.agg
     }
-}
-
-/// All per-client costs for one federated round.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RoundCost {
-    pub round: usize,
-    pub costs: Vec<ClientRoundCost>,
 }
 
 /// One critical-path entry: the slowest client chain of one round.
@@ -62,54 +45,40 @@ pub struct CriticalPathEntry {
     pub cause: &'static str,
 }
 
-/// Computes the per-round critical path: for each round, the client with the
-/// highest simulated-tick cost (ties broken by lowest client id, so the
-/// result is deterministic). Rounds where nobody accrued cost produce an
-/// `idle` entry with `client: None`.
-pub fn critical_path(rounds: &[RoundCost]) -> Vec<CriticalPathEntry> {
-    rounds
-        .iter()
-        .map(|round| {
-            let slowest = round
-                .costs
-                .iter()
-                .filter(|c| c.total_ticks() > 0)
-                // Highest cost wins; ties resolve to the lowest client id
-                // regardless of the order costs were recorded in.
-                .min_by_key(|c| (std::cmp::Reverse(c.total_ticks()), c.client));
-            match slowest {
-                Some(c) => CriticalPathEntry {
-                    round: round.round,
-                    client: Some(c.client),
-                    total_ticks: c.total_ticks(),
-                    straggler_ticks: c.straggler_ticks,
-                    backoff_ticks: c.backoff_ticks,
-                    agg_ticks: c.agg_ticks,
-                    retries: c.retries,
-                    // The aggregator tier only wins a strict majority of the
-                    // ticks; client-side causes keep their original priority
-                    // order so flat-topology paths are byte-identical.
-                    cause: if c.agg_ticks > c.straggler_ticks && c.agg_ticks > c.backoff_ticks {
-                        "aggregator"
-                    } else if c.straggler_ticks >= c.backoff_ticks {
-                        "straggler"
-                    } else {
-                        "backoff"
-                    },
-                },
-                None => CriticalPathEntry {
-                    round: round.round,
-                    client: None,
-                    total_ticks: 0,
-                    straggler_ticks: 0,
-                    backoff_ticks: 0,
-                    agg_ticks: 0,
-                    retries: 0,
-                    cause: "idle",
-                },
-            }
-        })
-        .collect()
+/// One round's critical path: the client with the highest simulated-tick
+/// cost, ties broken by lowest client id (so the result is deterministic
+/// whatever order the clients come in). A round where nobody accrued cost
+/// is an `idle` entry with `client: None`.
+pub fn slowest_client(
+    round: usize,
+    clients: impl IntoIterator<Item = ClientTicks>,
+) -> CriticalPathEntry {
+    let slowest = clients
+        .into_iter()
+        .filter(|c| c.total() > 0)
+        .min_by_key(|c| (std::cmp::Reverse(c.total()), c.client));
+    let c = slowest.unwrap_or_default();
+    CriticalPathEntry {
+        round,
+        client: slowest.map(|c| c.client),
+        total_ticks: c.total(),
+        straggler_ticks: c.straggler,
+        backoff_ticks: c.backoff,
+        agg_ticks: c.agg,
+        retries: c.retries,
+        // The aggregator tier only wins a strict majority of the ticks;
+        // client-side causes keep their original priority order so
+        // flat-topology paths are byte-identical.
+        cause: if slowest.is_none() {
+            "idle"
+        } else if c.agg > c.straggler && c.agg > c.backoff {
+            "aggregator"
+        } else if c.straggler >= c.backoff {
+            "straggler"
+        } else {
+            "backoff"
+        },
+    }
 }
 
 /// Serializes a critical path as the report's `critical_path` array.
@@ -162,13 +131,11 @@ pub fn render_critical_path(path: &[CriticalPathEntry]) -> String {
 mod tests {
     use super::*;
 
-    fn cost(client: usize, straggler: u64, backoff: u64) -> ClientRoundCost {
-        ClientRoundCost {
+    fn cost(client: usize, straggler: u64, backoff: u64) -> ClientTicks {
+        ClientTicks {
             client,
-            trained: true,
-            contributed: true,
-            straggler_ticks: straggler,
-            backoff_ticks: backoff,
+            straggler,
+            backoff,
             retries: backoff.min(3),
             ..Default::default()
         }
@@ -176,65 +143,40 @@ mod tests {
 
     #[test]
     fn picks_the_slowest_client_per_round() {
-        let rounds = vec![
-            RoundCost {
-                round: 0,
-                costs: vec![cost(0, 0, 1), cost(1, 2, 1), cost(2, 0, 0)],
-            },
-            RoundCost {
-                round: 1,
-                costs: vec![cost(0, 0, 0), cost(1, 0, 0)],
-            },
-        ];
-        let path = critical_path(&rounds);
-        assert_eq!(path.len(), 2);
-        assert_eq!(path[0].client, Some(1));
-        assert_eq!(path[0].total_ticks, 3);
-        assert_eq!(path[0].cause, "straggler");
-        assert_eq!(path[1].client, None);
-        assert_eq!(path[1].cause, "idle");
+        let busy = slowest_client(0, [cost(0, 0, 1), cost(1, 2, 1), cost(2, 0, 0)]);
+        assert_eq!(busy.client, Some(1));
+        assert_eq!(busy.total_ticks, 3);
+        assert_eq!(busy.cause, "straggler");
+        let idle = slowest_client(1, [cost(0, 0, 0), cost(1, 0, 0)]);
+        assert_eq!((idle.round, idle.client), (1, None));
+        assert_eq!(idle.cause, "idle");
+        assert_eq!(slowest_client(2, []).cause, "idle");
     }
 
     #[test]
     fn ties_break_to_the_lowest_client_id() {
-        let rounds = vec![RoundCost {
-            round: 7,
-            costs: vec![cost(2, 1, 1), cost(0, 2, 0), cost(1, 0, 2)],
-        }];
-        let path = critical_path(&rounds);
-        assert_eq!(path[0].client, Some(0));
-        assert_eq!(path[0].round, 7);
+        let path = slowest_client(7, [cost(2, 1, 1), cost(0, 2, 0), cost(1, 0, 2)]);
+        assert_eq!(path.client, Some(0));
+        assert_eq!(path.round, 7);
     }
 
     #[test]
     fn backoff_dominant_cost_is_labelled_backoff() {
-        let rounds = vec![RoundCost {
-            round: 0,
-            costs: vec![cost(0, 1, 4)],
-        }];
-        assert_eq!(critical_path(&rounds)[0].cause, "backoff");
+        assert_eq!(slowest_client(0, [cost(0, 1, 4)]).cause, "backoff");
     }
 
     #[test]
     fn aggregator_dominant_cost_is_labelled_aggregator() {
         let mut slow = cost(3, 1, 1);
-        slow.agg_ticks = 4;
-        let rounds = vec![RoundCost {
-            round: 2,
-            costs: vec![cost(0, 2, 0), slow],
-        }];
-        let path = critical_path(&rounds);
-        assert_eq!(path[0].client, Some(3));
-        assert_eq!(path[0].total_ticks, 6);
-        assert_eq!(path[0].agg_ticks, 4);
-        assert_eq!(path[0].cause, "aggregator");
+        slow.agg = 4;
+        let path = slowest_client(2, [cost(0, 2, 0), slow]);
+        assert_eq!(path.client, Some(3));
+        assert_eq!(path.total_ticks, 6);
+        assert_eq!(path.agg_ticks, 4);
+        assert_eq!(path.cause, "aggregator");
         // Ties between aggregator and client causes keep the client label.
         let mut tied = cost(1, 3, 0);
-        tied.agg_ticks = 3;
-        let rounds = vec![RoundCost {
-            round: 0,
-            costs: vec![tied],
-        }];
-        assert_eq!(critical_path(&rounds)[0].cause, "straggler");
+        tied.agg = 3;
+        assert_eq!(slowest_client(0, [tied]).cause, "straggler");
     }
 }

@@ -325,8 +325,8 @@ fn validate_report_rejects_malformed_documents() {
 
 #[test]
 fn snapshot_deltas_support_round_accounting() {
-    // The federated simulator computes RoundTelemetry as counter deltas;
-    // lock in the arithmetic it relies on.
+    // Per-round views take counter deltas between two reads; lock in the
+    // arithmetic they rely on.
     let reg = Arc::new(Registry::new());
     reg.counter_add("fed.sim.lost_messages", 2);
     let before = reg.counter_value("fed.sim.lost_messages");
