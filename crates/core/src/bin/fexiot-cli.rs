@@ -183,6 +183,12 @@ fn make_dataset(
     out.value
 }
 
+/// Whether `model` reads five-platform heterogeneous graphs: a MAGNN
+/// model does, a GIN or GCN model reads IFTTT graphs.
+fn reads_hetero(model: &FexIot) -> bool {
+    matches!(model.scorer().encoder, fexiot_gnn::Encoder::Magnn(_))
+}
+
 /// Opens the artifact store named by `--store DIR` or its alias
 /// `--checkpoint-dir DIR` (None without either). Commands that cache
 /// artifacts create the store on first use; `store list` and `store gc`
@@ -403,7 +409,7 @@ fn run(
         "eval" => {
             let graphs = args.num("graphs").unwrap_or(120);
             let model = resolve_model(args, &mut store, true, "gin")?;
-            let ds = make_dataset(args, graphs, false, &mut store);
+            let ds = make_dataset(args, graphs, reads_hetero(&model), &mut store);
             // The report is accumulated and digested so warm/cold identity
             // is checkable from the last stdout line alone.
             let mut report = String::new();
@@ -421,7 +427,7 @@ fn run(
         "detect" => {
             let graphs = args.num("graphs").unwrap_or(20);
             let model = resolve_model(args, &mut store, true, "gin")?;
-            let ds = make_dataset(args, graphs, false, &mut store);
+            let ds = make_dataset(args, graphs, reads_hetero(&model), &mut store);
             let mut report = String::new();
             for (i, g) in ds.graphs.iter().enumerate() {
                 let d = model.detect(g);
@@ -447,7 +453,7 @@ fn run(
         "explain" => {
             let graphs = args.num("graphs").unwrap_or(60);
             let model = resolve_model(args, &mut store, true, "gin")?;
-            let ds = make_dataset(args, graphs, false, &mut store);
+            let ds = make_dataset(args, graphs, reads_hetero(&model), &mut store);
             let Some(target) = ds
                 .graphs
                 .iter()

@@ -5,7 +5,8 @@
 //! message that names it, before any work and instead of running with a
 //! default or a clamped value; a hostile wire file exits 1 with an error,
 //! never a crash; and inspecting a store that does not exist exits 1
-//! without creating it.
+//! without creating it. A MAGNN model is scored on the heterogeneous
+//! graphs it reads, not on IFTTT graphs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -318,6 +319,38 @@ fn store_inspection_of_a_missing_directory_exits_1_and_creates_nothing() {
         );
         assert!(out.stdout.is_empty(), "store {command} printed to stdout");
         assert!(!missing.exists(), "store {command} created {store}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn eval_detect_and_explain_give_a_magnn_model_heterogeneous_graphs() {
+    let dir = fresh_dir("magnn");
+    let model = dir.join("m.fex");
+    let m = model.to_str().unwrap();
+    let train = [
+        "train",
+        "--encoder",
+        "magnn",
+        "--graphs",
+        "120",
+        "--seed",
+        "7",
+    ];
+    let out = cli(&[&train[..], &["--out", m]].concat(), None);
+    assert_eq!(out.status.code(), Some(0), "train: {out:?}");
+    let out = cli(&["eval", "--model", m, "--seed", "9"], None);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "eval: {out:?}");
+    let acc: f64 = (stdout.split("acc ").nth(1))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no accuracy in {stdout}"));
+    // On IFTTT graphs this model scored 0.358.
+    assert!(acc >= 0.6, "eval accuracy {acc}: {stdout}");
+    for command in ["detect", "explain"] {
+        let out = cli(&[command, "--model", m, "--seed", "9"], None);
+        assert_eq!(out.status.code(), Some(0), "{command}: {out:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,5 +21,5 @@ pub use magnn::Magnn;
 pub use serialize::{encoder_from_bytes, encoder_to_bytes};
 pub use trainer::{
     binary_labels, embed_all, head_feature_dim, head_features, head_features_all,
-    train_contrastive, ContrastiveConfig,
+    train_contrastive, ContrastiveConfig, ContrastiveRun,
 };

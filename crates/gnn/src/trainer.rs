@@ -5,7 +5,7 @@
 
 use crate::encoder::Encoder;
 use fexiot_graph::{runtime_slot as slot, GraphDataset, InteractionGraph};
-use fexiot_tensor::autograd::{Forward, Tape};
+use fexiot_tensor::autograd::{Forward, Tape, TapeBuffers};
 use fexiot_tensor::matrix::Matrix;
 use fexiot_tensor::optim::Adam;
 use fexiot_tensor::rng::Rng;
@@ -73,7 +73,7 @@ pub fn train_contrastive(
         .filter(|&c| classes[c].len() >= 2)
         .collect();
 
-    let mut adam = Adam::new(config.lr, encoder.params());
+    let mut run = ContrastiveRun::new(encoder, config.lr);
     let mut last_loss = 0.0;
     let mut total_steps = 0usize;
     for _ in 0..config.epochs {
@@ -113,9 +113,7 @@ pub fn train_contrastive(
             } else {
                 config.margin
             };
-            epoch_loss += step(
-                encoder, &mut adam, &graphs[i], &graphs[j], different, margin,
-            );
+            epoch_loss += run.step(encoder, &graphs[i], &graphs[j], different, margin);
             steps += 1;
         }
         last_loss = epoch_loss / steps.max(1) as f64;
@@ -142,71 +140,99 @@ pub fn train_contrastive(
     last_loss
 }
 
-/// One contrastive step on a pair; returns the pair's loss.
-///
-/// Both Siamese branches and Eq. (2) go on one [`Tape`], differentiated by
-/// one backward pass. The encoder's parameters are registered once per
-/// branch, so each branch sums its own terms and the merge below adds the
-/// two sums as `g_b + g_a`. That order matters for MAGNN, whose attention
-/// weights (`w_att`, `b_att`, `q`) are read once per metapath: registered
-/// once for both branches, they would sum to `((b1 + b0) + a1) + a0`
-/// instead of `(b1 + b0) + (a1 + a0)`, and the trained bits would move.
-/// GCN and GIN read each parameter once per forward, so either way gives
-/// them the same bits.
-fn step(
-    encoder: &mut Encoder,
-    adam: &mut Adam,
-    ga: &InteractionGraph,
-    gb: &InteractionGraph,
-    different: bool,
-    margin: f64,
-) -> f64 {
-    let y = if different { 1.0 } else { 0.0 }; // Eq. (2): y = 1 for different classes
-    let enc: &Encoder = encoder;
-    let mut tape = Tape::new();
-    let vars_a = enc.register(&mut tape);
-    let za = enc.forward_with(&mut tape, &vars_a, ga);
-    let vars_b = enc.register(&mut tape);
-    let zb = enc.forward_with(&mut tape, &vars_b, gb);
-    let d2 = tape.sq_distance(za, zb);
-    // Eq. (2): L = d^2 (1 - y) + max(0, k - d^2) y.
-    let pull = tape.scale(d2, 1.0 - y);
-    let neg = tape.scale(d2, -1.0);
-    let marg = tape.add_scalar(neg, margin);
-    let hinge = tape.relu(marg);
-    let push = tape.scale(hinge, y);
-    let loss = tape.add(pull, push);
-    let loss_value = tape.value(loss)[(0, 0)];
-    let mut grads = tape.backward(loss);
-    let gs: Vec<Matrix> = vars_a
-        .iter()
-        .zip(vars_b.iter())
-        .zip(enc.params())
-        .map(|((&va, &vb), p)| match (grads.take(vb), grads.take(va)) {
-            (Some(mut g), Some(ga_)) => {
-                g.axpy(1.0, &ga_);
-                g
-            }
-            (Some(g), None) | (None, Some(g)) => g,
-            (None, None) => Matrix::zeros(p.rows(), p.cols()),
-        })
-        .collect();
-    // The norm reduction is a full pass over every gradient, so only pay
-    // for it while observability is on.
-    if fexiot_obs::global_enabled() {
-        let sq_sum: f64 = gs
-            .iter()
-            .flat_map(|m| m.as_slice().iter())
-            .map(|g| g * g)
-            .sum();
-        fexiot_obs::hist_record(
-            "gnn.trainer.grad_norm",
-            fexiot_obs::buckets::NORM,
-            sq_sum.sqrt(),
-        );
+/// What a contrastive run carries from one step to the next: Adam's
+/// moments, the buffers each step's tape forms its values and gradients
+/// in, and the summed gradient Adam reads. A step whose shapes the run has
+/// seen allocates no matrix.
+pub struct ContrastiveRun {
+    adam: Adam,
+    buffers: TapeBuffers,
+    grads: Vec<Matrix>,
+}
+
+impl ContrastiveRun {
+    /// A run training `encoder` with Adam at learning rate `lr`.
+    pub fn new(encoder: &Encoder, lr: f64) -> Self {
+        Self {
+            adam: Adam::new(lr, encoder.params()),
+            buffers: TapeBuffers::default(),
+            grads: vec![Matrix::default(); encoder.params().len()],
+        }
     }
-    adam.step(encoder.params_mut(), &gs);
-    loss_value
+
+    /// One contrastive step on a pair; returns the pair's loss.
+    ///
+    /// Both Siamese branches and Eq. (2) go on one [`Tape`], differentiated
+    /// by one backward pass. The encoder's parameters are registered once
+    /// per branch, so each branch sums its own terms and each parameter's
+    /// gradient is the sum of the two, `g_b + g_a`. That order matters for
+    /// MAGNN, whose attention weights (`w_att`, `b_att`, `q`) are read once
+    /// per metapath: registered once for both branches, they would sum to
+    /// `((b1 + b0) + a1) + a0` instead of `(b1 + b0) + (a1 + a0)`, and the
+    /// trained bits would move. GCN and GIN read each parameter once per
+    /// forward, so either way gives them the same bits.
+    pub fn step(
+        &mut self,
+        encoder: &mut Encoder,
+        ga: &InteractionGraph,
+        gb: &InteractionGraph,
+        different: bool,
+        margin: f64,
+    ) -> f64 {
+        let y = if different { 1.0 } else { 0.0 }; // Eq. (2): y = 1 for different classes
+        let enc: &Encoder = encoder;
+        let mut tape = Tape::with_buffers(std::mem::take(&mut self.buffers));
+        let vars_a = enc.register(&mut tape);
+        let za = enc.forward_with(&mut tape, &vars_a, ga);
+        let vars_b = enc.register(&mut tape);
+        let zb = enc.forward_with(&mut tape, &vars_b, gb);
+        let d2 = tape.sq_distance(za, zb);
+        // Eq. (2): L = d^2 (1 - y) + max(0, k - d^2) y.
+        let pull = tape.scale(d2, 1.0 - y);
+        let neg = tape.scale(d2, -1.0);
+        let marg = tape.add_scalar(neg, margin);
+        let hinge = tape.relu(marg);
+        let push = tape.scale(hinge, y);
+        let loss = tape.add(pull, push);
+        let loss_value = tape.value(loss)[(0, 0)];
+        let grads = tape.backward(loss);
+        let branches = vars_a.iter().zip(&vars_b).zip(enc.params());
+        for (((&va, &vb), p), sum) in branches.zip(&mut self.grads) {
+            match (grads.try_get(vb), grads.try_get(va)) {
+                (Some(g_b), Some(g_a)) => g_b.zip_into(g_a, sum, |b, a| b + a),
+                (Some(g), None) | (None, Some(g)) => sum.clone_from(g),
+                (None, None) => sum.reset(p.rows(), p.cols()),
+            }
+        }
+        self.buffers = tape.into_buffers(grads);
+        // The norm reduction is a full pass over every gradient, so only pay
+        // for it while observability is on.
+        if fexiot_obs::global_enabled() {
+            let sq_sum: f64 = self
+                .grads
+                .iter()
+                .flat_map(|m| m.as_slice().iter())
+                .map(|g| g * g)
+                .sum();
+            fexiot_obs::hist_record(
+                "gnn.trainer.grad_norm",
+                fexiot_obs::buckets::NORM,
+                sq_sum.sqrt(),
+            );
+        }
+        self.adam.step(encoder.params_mut(), &self.grads);
+        loss_value
+    }
+
+    /// The gradient the last step applied, one matrix per parameter.
+    pub fn grads(&self) -> &[Matrix] {
+        &self.grads
+    }
+
+    /// The buffers the run's tapes draw from.
+    pub fn buffers(&self) -> &TapeBuffers {
+        &self.buffers
+    }
 }
 
 /// Embeds every graph into a row matrix.

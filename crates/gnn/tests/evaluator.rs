@@ -4,10 +4,11 @@
 //! on random graphs, on special values, and across graph sizes that make
 //! every buffer shrink and grow again.
 
-use fexiot_gnn::{Encoder, Gcn, Gin, Magnn};
-use fexiot_graph::{
-    Command, Device, DeviceKind, InteractionGraph, Location, Platform, Rule, RuleNode, Trigger,
-};
+mod common;
+
+use common::{encoders, graph, hetero, homogeneous, magnn, same_bits};
+use fexiot_gnn::{Encoder, Magnn};
+use fexiot_graph::{InteractionGraph, Platform};
 use fexiot_tensor::{Forward, Rng, Tape};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,122 +19,6 @@ fn embed_on_tape(encoder: &Encoder, graph: &InteractionGraph) -> Vec<f64> {
     let vars = encoder.register(&mut tape);
     let z = encoder.forward_with(&mut tape, &vars, graph);
     tape.value(z).row(0).to_vec()
-}
-
-/// Equal bit for bit, except that any NaN equals any NaN.
-fn same_bits(x: &[f64], y: &[f64]) -> bool {
-    x.len() == y.len()
-        && x.iter()
-            .zip(y)
-            .all(|(p, q)| (p.is_nan() && q.is_nan()) || p.to_bits() == q.to_bits())
-}
-
-fn node(id: usize, platform: Platform, features: Vec<f64>) -> RuleNode {
-    RuleNode {
-        rule: Rule {
-            id: id as u32,
-            platform,
-            trigger: Trigger::Manual,
-            actions: vec![Command {
-                device: Device::new(DeviceKind::Light, Location::Kitchen),
-                activate: true,
-            }],
-            text: format!("rule {id}"),
-        },
-        features,
-    }
-}
-
-/// A feature value: with probability `special`, one of NaN, ±∞, −0.0, a
-/// subnormal or zero; otherwise a normal draw.
-fn feature(rng: &mut Rng, special: f64) -> f64 {
-    if !rng.bool(special) {
-        return rng.normal(0.0, 1.5);
-    }
-    match rng.usize(6) {
-        0 => f64::NAN,
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => -0.0,
-        4 => f64::MIN_POSITIVE / 8.0,
-        _ => 0.0,
-    }
-}
-
-/// A graph of `n` nodes whose node `i` has platform `platform_of(i)` and
-/// `dim_of(platform)` features, with random directed edges: none at all,
-/// or any number with self-loops, repeats and both directions.
-fn graph(
-    rng: &mut Rng,
-    n: usize,
-    platform_of: impl Fn(&mut Rng, usize) -> Platform,
-    dim_of: impl Fn(Platform) -> usize,
-) -> InteractionGraph {
-    let special = [0.0, 0.0, 0.02, 0.3][rng.usize(4)];
-    let nodes = (0..n)
-        .map(|i| {
-            let p = platform_of(rng, i);
-            let features = (0..dim_of(p)).map(|_| feature(rng, special)).collect();
-            node(i, p, features)
-        })
-        .collect();
-    let edge_count = if rng.bool(0.2) {
-        0
-    } else {
-        rng.usize(3 * n + 1)
-    };
-    let edges = (0..edge_count)
-        .map(|_| (rng.usize(n), rng.usize(n)))
-        .collect();
-    InteractionGraph::new(nodes, edges)
-}
-
-/// A homogeneous graph of `n` nodes with `d` features each.
-fn homogeneous(rng: &mut Rng, n: usize, d: usize) -> InteractionGraph {
-    graph(rng, n, |_, _| Platform::Ifttt, |_| d)
-}
-
-/// A MAGNN over 1–5 distinct platforms, each with its own feature dim.
-fn magnn(rng: &mut Rng) -> Magnn {
-    let mut platforms = Platform::ALL.to_vec();
-    rng.shuffle(&mut platforms);
-    platforms.truncate(rng.range(1, 6));
-    let type_dims = platforms.iter().map(|&p| (p, rng.range(1, 9))).collect();
-    Magnn::new(
-        type_dims,
-        rng.range(1, 9),
-        rng.range(1, 6),
-        rng.range(1, 6),
-        rng,
-    )
-}
-
-/// A graph for `model`: node 0 has a registered platform; any other node
-/// may have an unregistered one, which MAGNN leaves out of its projection.
-fn hetero(rng: &mut Rng, model: &Magnn, n: usize) -> InteractionGraph {
-    let registered: Vec<Platform> = model.type_dims.iter().map(|&(p, _)| p).collect();
-    let dims = model.type_dims.clone();
-    graph(
-        rng,
-        n,
-        |rng, i| {
-            if i == 0 || rng.bool(0.9) {
-                registered[rng.usize(registered.len())]
-            } else {
-                Platform::ALL[rng.usize(Platform::ALL.len())]
-            }
-        },
-        |p| dims.iter().find(|&&(q, _)| q == p).map_or(3, |&(_, d)| d),
-    )
-}
-
-fn encoders(rng: &mut Rng, d: usize) -> [Encoder; 2] {
-    let hidden: Vec<usize> = (0..rng.range(1, 4)).map(|_| rng.range(1, 12)).collect();
-    let out = rng.range(1, 8);
-    [
-        Encoder::Gcn(Gcn::new(d, &hidden, out, rng)),
-        Encoder::Gin(Gin::new(d, &hidden, out, rng)),
-    ]
 }
 
 fn assert_embed_is_the_tape(encoder: &Encoder, graph: &InteractionGraph) {

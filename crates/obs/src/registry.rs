@@ -557,11 +557,6 @@ impl Registry {
         inner.counter_add_locked(name, v);
     }
 
-    /// Current counter value (0 if never recorded).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Sets a gauge (last write wins). Durations must be `_us` histograms,
     /// never gauges, so `_us`-suffixed gauge names are rejected in debug
     /// builds; wall-clock-derived rates are allowed but must end in

@@ -21,7 +21,7 @@ pub mod optim;
 pub mod rng;
 pub mod stats;
 
-pub use autograd::{Forward, Grads, Record, Tape, Var};
+pub use autograd::{Forward, Grads, Record, Tape, TapeBuffers, Var};
 pub use codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 pub use eval::{Eval, Evaluator};
 pub use matrix::Matrix;

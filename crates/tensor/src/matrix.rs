@@ -11,11 +11,28 @@ mod kernel;
 
 /// A dense `rows x cols` matrix stored in row-major order. The default is
 /// the empty `0 x 0` matrix, which allocates nothing.
-#[derive(Clone, PartialEq, Default)]
+#[derive(PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl std::fmt::Debug for Matrix {
@@ -66,10 +83,16 @@ impl Matrix {
     /// Reshapes `self` to `rows x cols` with every entry `+0.0`, reusing its
     /// allocation: the buffer form of [`Matrix::zeros`].
     pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.refill(rows, cols, 0.0);
+    }
+
+    /// Reshapes `self` to `rows x cols` with every entry `v`, reusing its
+    /// allocation: the buffer form of [`Matrix::full`].
+    pub fn refill(&mut self, rows: usize, cols: usize, v: f64) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, v);
     }
 
     /// Identity matrix of size `n`.
@@ -253,20 +276,6 @@ impl Matrix {
         self.product(self.rows, self.cols, 1, rhs, out);
     }
 
-    /// `self · rhsᵀ`, bit-identical to `self.matmul(&rhs.transpose())`,
-    /// which is how it is computed.
-    ///
-    /// # Panics
-    /// Panics if the column counts disagree.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        self.matmul(&rhs.transpose())
-    }
-
     /// `selfᵀ · rhs` without forming the transpose: the kernel reads `self`
     /// down its columns, so the result is bit-identical to
     /// `self.transpose().matmul(rhs)`.
@@ -274,14 +283,23 @@ impl Matrix {
     /// # Panics
     /// Panics if the row counts disagree.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_tn_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] written into `out`, whatever its shape and
+    /// contents were.
+    ///
+    /// # Panics
+    /// Panics if the row counts disagree.
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: ({}x{})ᵀ * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::default();
-        self.product(self.cols, 1, self.cols, rhs, &mut out);
-        out
+        self.product(self.cols, 1, self.cols, rhs, out);
     }
 
     /// Writes `L · rhs` into `out`, where `L` has `rows` rows and entry
@@ -307,7 +325,15 @@ impl Matrix {
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] written into `out`, whatever its shape and
+    /// contents were.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         if self.rows > 0 {
             for (c, orow) in out.data.chunks_exact_mut(self.rows).enumerate() {
                 for (o, row) in orow.iter_mut().zip(self.data.chunks_exact(self.cols)) {
@@ -315,7 +341,11 @@ impl Matrix {
                 }
             }
         }
-        out
+    }
+
+    /// Capacity of the buffer, in entries.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Elementwise application of `f`.
@@ -379,6 +409,12 @@ impl Matrix {
     /// Scalar multiple.
     pub fn scale(&self, s: f64) -> Matrix {
         self.map(|v| v * s)
+    }
+
+    /// [`Matrix::scale`] written into `out`, whatever its shape and
+    /// contents were.
+    pub fn scale_into(&self, s: f64, out: &mut Matrix) {
+        self.map_into(out, |v| v * s);
     }
 
     /// In-place `self += alpha * rhs`.
@@ -477,15 +513,15 @@ impl Matrix {
         }
     }
 
-    /// Column sums as a `1 x cols` row vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+    /// Writes the column sums into `out`, whatever its shape and contents
+    /// were, as a `1 x cols` row vector.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.reset(1, self.cols);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c] += self[(r, c)];
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -530,10 +566,18 @@ impl Matrix {
 
     /// Horizontally concatenates matrices with equal row counts.
     pub fn hstack(parts: &[&Matrix]) -> Matrix {
+        let mut out = Matrix::default();
+        Matrix::hstack_into(parts, &mut out);
+        out
+    }
+
+    /// [`Matrix::hstack`] written into `out`, whatever its shape and
+    /// contents were.
+    pub fn hstack_into(parts: &[&Matrix], out: &mut Matrix) {
         assert!(!parts.is_empty(), "hstack: empty input");
         let rows = parts[0].rows;
         let cols = parts.iter().map(|m| m.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
+        out.reset(rows, cols);
         for r in 0..rows {
             let mut at = 0;
             for m in parts {
@@ -542,7 +586,6 @@ impl Matrix {
                 at += m.cols;
             }
         }
-        out
     }
 
     /// Copies the selected rows into a new matrix, in the given order.
@@ -676,6 +719,25 @@ mod tests {
         }
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+    }
+
+    #[test]
+    fn buffer_forms_handle_empty_shapes() {
+        // Each writes into a buffer that held a 2 x 3 matrix.
+        let stale = || Matrix::full(2, 3, 7.0);
+        for (r, c) in [(0, 3), (3, 0), (0, 0)] {
+            let m = Matrix::zeros(r, c);
+            let mut t = stale();
+            m.transpose_into(&mut t);
+            assert_eq!(t.shape(), (c, r));
+            assert!(t.is_empty());
+            // `mᵀ · rhs` for an `r x 2` rhs: `c x 2`, every entry an empty
+            // sum, `+0.0`.
+            let mut p = stale();
+            m.matmul_tn_into(&Matrix::full(r, 2, f64::NAN), &mut p);
+            assert_eq!(p.shape(), (c, 2));
+            assert!(p.as_slice().iter().all(|x| x.to_bits() == 0));
+        }
     }
 
     #[test]
@@ -818,7 +880,6 @@ mod tests {
             );
         }
         assert!(zero.matmul(&inf)[(0, 0)].is_nan());
-        assert!(zero.matmul_nt(&inf)[(0, 0)].is_nan());
         assert!(zero.matmul_tn(&inf)[(0, 0)].is_nan());
     }
 }

@@ -144,6 +144,10 @@ impl Adam {
 
     /// Applies one Adam update.
     ///
+    /// Once `1 - β₁ᵗ` rounds to exactly 1.0 (from t = 356 at β₁ = 0.9),
+    /// the first moment is used as it stands: `m / 1.0` is `m` for every
+    /// f64, and the loop, bound by its divider, makes one division fewer.
+    ///
     /// # Panics
     /// Panics if `grads` is not aligned with the parameters this optimizer was
     /// created for.
@@ -153,6 +157,22 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        if bc1 == 1.0 {
+            self.update(params, grads, |m| m, bc2);
+        } else {
+            self.update(params, grads, |m| m / bc1, bc2);
+        }
+    }
+
+    /// The update of [`Adam::step`], with `mhat` the bias-corrected first
+    /// moment.
+    fn update(
+        &mut self,
+        params: &mut ParamVec,
+        grads: &[Matrix],
+        mhat: impl Fn(f64) -> f64,
+        bc2: f64,
+    ) {
         for i in 0..params.len() {
             assert_eq!(
                 params[i].shape(),
@@ -168,9 +188,8 @@ impl Adam {
             {
                 *pm = self.beta1 * *pm + (1.0 - self.beta1) * g;
                 *pv = self.beta2 * *pv + (1.0 - self.beta2) * g * g;
-                let mhat = *pm / bc1;
                 let vhat = *pv / bc2;
-                *p -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *p -= self.lr * mhat(*pm) / (vhat.sqrt() + self.eps);
             }
         }
     }
@@ -227,6 +246,70 @@ mod tests {
             opt.step(&mut params, &[g]);
         }
         assert!(params[0].max_abs_diff(&Matrix::full(2, 2, 3.0)) < 1e-3);
+    }
+
+    #[test]
+    fn skipping_the_exact_bias_correction_moves_no_bit() {
+        // 400 steps cross t = 356, the first at which `1 - 0.9^t` rounds to
+        // 1.0. The reference is the update before the skip: it divides by
+        // the correction at every step.
+        let mut rng = Rng::seed_from_u64(3);
+        let shapes = [(3, 4), (1, 4), (4, 2)];
+        let mut params: ParamVec = shapes
+            .iter()
+            .map(|&(r, c)| Matrix::random_normal(r, c, 0.0, 1.0, &mut rng))
+            .collect();
+        let mut opt = Adam::new(0.01, &params);
+        let mut want = params.clone();
+        let zeros = || -> ParamVec { shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect() };
+        let (mut m, mut v) = (zeros(), zeros());
+        let mut corrected_to_one = 0;
+        for t in 1..=400 {
+            // Layer 0 also meets NaN and ±∞; the others keep finite
+            // moments, so every step of theirs is compared on real bits.
+            let grads: Vec<Matrix> = (shapes.iter().enumerate())
+                .map(|(i, &(r, c))| {
+                    Matrix::from_fn(r, c, |_, _| match rng.usize(60) {
+                        0 if i == 0 => f64::NAN,
+                        1 if i == 0 => f64::INFINITY,
+                        2 if i == 0 => f64::NEG_INFINITY,
+                        3 => -0.0,
+                        4 => f64::MIN_POSITIVE / 4.0,
+                        _ => rng.normal(0.0, 1.0),
+                    })
+                })
+                .collect();
+            opt.step(&mut params, &grads);
+            let bc1 = 1.0 - opt.beta1.powi(t);
+            let bc2 = 1.0 - opt.beta2.powi(t);
+            corrected_to_one += usize::from(bc1 == 1.0);
+            for i in 0..shapes.len() {
+                let entries = (m[i].as_mut_slice().iter_mut())
+                    .zip(v[i].as_mut_slice())
+                    .zip(grads[i].as_slice().iter().zip(want[i].as_mut_slice()));
+                for ((pm, pv), (&g, p)) in entries {
+                    *pm = opt.beta1 * *pm + (1.0 - opt.beta1) * g;
+                    *pv = opt.beta2 * *pv + (1.0 - opt.beta2) * g * g;
+                    let mhat = *pm / bc1;
+                    let vhat = *pv / bc2;
+                    *p -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+                }
+            }
+            let same = |x: &[Matrix], y: &[Matrix]| {
+                x.iter().zip(y).all(|(a, b)| {
+                    (a.as_slice().iter().zip(b.as_slice()))
+                        .all(|(p, q)| (p.is_nan() && q.is_nan()) || p.to_bits() == q.to_bits())
+                })
+            };
+            assert!(same(&params, &want), "parameters differ at t = {t}");
+            assert!(
+                same(&opt.m, &m) && same(&opt.v, &v),
+                "moments differ at t = {t}"
+            );
+        }
+        assert_eq!(corrected_to_one, 400 - 355, "the skip runs from t = 356");
+        assert!(params[1..].iter().all(Matrix::is_finite));
+        assert!(!params[0].is_finite(), "layer 0 met NaN and ±∞");
     }
 
     #[test]

@@ -212,9 +212,10 @@ fn seeded_sparse_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // `matmul_nt` and `matmul_tn` equal a matmul of the explicit transpose
-    // bit for bit: same per-entry summation order, same zero-skip. Shapes
-    // from 0 to 9 cover empty factors and the four-column blocks' tails.
+    // `matmul_tn` equals a matmul of the explicit transpose bit for bit:
+    // same per-entry summation order. Its buffer form, and the transpose's,
+    // written into a buffer that held another matrix, give the same bits.
+    // Shapes from 0 to 9 cover empty factors and the blocks' tails.
     #[test]
     fn transpose_free_products_match_explicit_transposes(
         n in 0usize..10,
@@ -222,11 +223,15 @@ proptest! {
         p in 0usize..10,
         seed in 0u64..10_000,
     ) {
-        let a = seeded_sparse_matrix(n, m, seed);
-        let b = seeded_sparse_matrix(p, m, seed.wrapping_add(1));
-        prop_assert!(bits_equal(&a.matmul_nt(&b), &a.matmul(&b.transpose())));
         let c = seeded_sparse_matrix(m, n, seed.wrapping_add(2));
         let d = seeded_sparse_matrix(m, p, seed.wrapping_add(3));
-        prop_assert!(bits_equal(&c.matmul_tn(&d), &c.transpose().matmul(&d)));
+        let expect = c.transpose().matmul(&d);
+        prop_assert!(bits_equal(&c.matmul_tn(&d), &expect));
+        let mut out = seeded_matrix(p + 1, n, seed.wrapping_add(4));
+        c.matmul_tn_into(&d, &mut out);
+        prop_assert!(bits_equal(&out, &expect));
+        let mut t = seeded_matrix(p, m + 2, seed.wrapping_add(5));
+        d.transpose_into(&mut t);
+        prop_assert!(bits_equal(&t, &d.transpose()));
     }
 }
